@@ -1,6 +1,10 @@
 """Leave-one-out cross-validation bandwidth selection.
 
-Three criteria, one per pooled estimator:
+Every criterion scores predictions at the observed covariates, each made
+by a fit that leaves out the rows of its own fold. For individual data the
+fold is the record itself (classical leave-one-out residual sum of squares,
+the pool criterion below with every c_j = 1). For pooled data there are
+three criteria, one per pooled estimator:
 
   * pool-level residual sum of squares for the average-weighted estimator:
     each pool j is left out in turn, the curve is evaluated at that pool's
@@ -55,23 +59,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Design, IndividualDataset, PooledDataset
+from .data import IndividualDataset, PooledDataset
 from .errors import NoValidBandwidth, TooFewRecords, UserInputError
-from .estimators import (
-    Estimator,
-    FitConfig,
-    PseudoData,
-    build_pseudo_data,
-    _batch_fit_pools,
-    _batch_fit_units,
-    _batch_fit_units_drop_group,
-)
+from .estimators import Estimator, FitConfig, build_pseudo_data, _local_fits, _rows
 
 __all__ = [
     "CvTrace",
     "FoldFailure",
-    "cv_rss_pool",
-    "cv_prss_pseudo",
     "default_h_grid",
     "select_bandwidth",
     "trim_bounds_for",
@@ -136,89 +130,24 @@ def default_h_grid(x_values, n: int = 30) -> np.ndarray:
     return np.geomspace(lower, upper, n)
 
 
-def _as_unit_pools(data: IndividualDataset) -> PooledDataset:
-    return PooledDataset(
-        z=data.y, sizes=np.ones(data.n_units, dtype=np.int64),
-        x_flat=data.x, design=Design.EXTERNAL,
-    )
+def _own_pool_members(pooled: PooledDataset) -> np.ndarray:
+    """Per member covariate, the indices of every member of its pool, -1 padded."""
+    slot = np.arange(pooled.max_size)
+    pool = pooled.member_pool_index
+    members = pooled.offsets[pool][:, None] + slot
+    return np.where(slot < pooled.sizes[pool][:, None], members, -1)
 
 
-def _pool_criterion_detail(
-    pooled: PooledDataset,
-    weight: str,
-    cfg: FitConfig,
-    bounds: tuple[float, float] | None,
-) -> tuple[float, list[FoldFailure]]:
-    grid = pooled.x_flat
-    values, failed = _batch_fit_pools(
-        pooled, cfg, grid, weight, drop_pool=pooled.member_pool_index
-    )
-    return _aggregate_pool_residuals(pooled, cfg, grid, values, failed, bounds)
-
-
-def _marginal_pool_criterion_detail(
-    pooled: PooledDataset,
-    pseudo: PseudoData,
-    cfg: FitConfig,
-    bounds: tuple[float, float] | None,
-) -> tuple[float, list[FoldFailure]]:
-    grid = pooled.x_flat
-    values, failed = _batch_fit_units_drop_group(
-        pooled.x_flat, pseudo.r_flat, cfg, grid,
-        pooled.offsets[:-1], pooled.member_pool_index,
-    )
-    return _aggregate_pool_residuals(pooled, cfg, grid, values, failed, bounds)
-
-
-def _aggregate_pool_residuals(
-    pooled: PooledDataset,
-    cfg: FitConfig,
-    grid: np.ndarray,
-    values: np.ndarray,
-    failed: np.ndarray,
-    bounds: tuple[float, float] | None,
-) -> tuple[float, list[FoldFailure]]:
-    needed = _in_bounds(grid, bounds)
-    bad = failed & needed
-    if bad.any():
-        failures = [
-            FoldFailure(cfg.h, int(pooled.member_pool_index[i]), float(grid[i]),
-                        "leave-pool-out fit singular at a member covariate")
-            for i in np.flatnonzero(bad)
-        ]
-        return np.nan, failures
+def _pool_rss(pooled: PooledDataset, fitted: np.ndarray, needed: np.ndarray) -> float:
+    """Sum over pools of c_j (Z_j - mean prediction at its needed members)^2."""
     starts = pooled.offsets[:-1]
     counts = np.add.reduceat(needed.astype(float), starts)
-    sums = np.add.reduceat(np.where(needed, values, 0.0), starts)
+    sums = np.add.reduceat(np.where(needed, fitted, 0.0), starts)
     include = counts > 0
     inner = sums[include] / counts[include]
     resid = pooled.z[include] - inner
     # literal criterion: the summand is member-free, so each pool counts c_j times
-    value = float(pooled.sizes[include] @ (resid * resid))
-    return value, []
-
-
-def _pseudo_criterion_detail(
-    pooled: PooledDataset,
-    pseudo: PseudoData,
-    cfg: FitConfig,
-    bounds: tuple[float, float] | None,
-) -> tuple[float, list[FoldFailure]]:
-    r_flat = pseudo.r_flat
-    values, failed = _batch_fit_units(
-        pooled.x_flat, r_flat, cfg, pooled.x_flat, drop_self=True
-    )
-    needed = _in_bounds(pooled.x_flat, bounds)
-    bad = failed & needed
-    if bad.any():
-        failures = [
-            FoldFailure(cfg.h, int(pooled.member_pool_index[i]), float(pooled.x_flat[i]),
-                        "leave-one-pseudo-point-out fit singular")
-            for i in np.flatnonzero(bad)
-        ]
-        return np.nan, failures
-    resid = np.where(needed, r_flat - values, 0.0)
-    return float(resid @ resid), []
+    return float(pooled.sizes[include] @ (resid * resid))
 
 
 def _smallest_tied(values: np.ndarray, n: int, scale: float) -> int:
@@ -239,45 +168,6 @@ def _in_bounds(x: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     return (x >= a) & (x <= b)
 
 
-def cv_rss_pool(
-    data: PooledDataset,
-    tag: Estimator,
-    base_cfg: FitConfig,
-    h: float,
-    trim_bounds: tuple[float, float] | None = None,
-) -> float:
-    """Pool-level leave-one-out criterion at a single bandwidth.
-
-    Returns NaN when some needed leave-pool-out fit fails; see
-    select_bandwidth for the fold failure records.
-    """
-    if tag not in (Estimator.AVERAGE, Estimator.PRODUCT):
-        raise UserInputError("cv_rss_pool applies to the average or product estimator")
-    if data.n_pools < 2:
-        raise TooFewRecords("leave-one-pool-out needs at least 2 pools")
-    cfg = replace(base_cfg, h=h)
-    weight = "average" if tag is Estimator.AVERAGE else "product"
-    value, _ = _pool_criterion_detail(data, weight, cfg, trim_bounds)
-    return value
-
-
-def cv_prss_pseudo(
-    data: PooledDataset,
-    base_cfg: FitConfig,
-    h: float,
-    trim_bounds: tuple[float, float] | None = None,
-    pseudo: PseudoData | None = None,
-) -> float:
-    """Pseudo individual-level leave-one-out criterion at a single bandwidth."""
-    if data.n_units < 2:
-        raise TooFewRecords("leave-one-out needs at least 2 records")
-    if pseudo is None:
-        pseudo = build_pseudo_data(data)
-    cfg = replace(base_cfg, h=h)
-    value, _ = _pseudo_criterion_detail(data, pseudo, cfg, trim_bounds)
-    return value
-
-
 def select_bandwidth(
     data: IndividualDataset | PooledDataset,
     tag: Estimator,
@@ -294,8 +184,9 @@ def select_bandwidth(
     For the marginal estimator, criterion picks between the recommended
     "pseudo" (leave one pseudo point out) and the pool-level "pool"
     alternative (leave the whole pool out, residual against Z_j).
-    Individual data are handled as size-1 pools, which makes the pool
-    criterion the classical leave-one-out residual sum of squares.
+    For individual data each record is left out in turn and predicted from
+    the rest: the classical leave-one-out residual sum of squares, which is
+    the pool criterion with every pool of size 1.
 
     The chosen h is the smallest candidate whose criterion V ties with the
     minimum V_min at rounding level: sqrt(V) <= sqrt(V_min) + u * (sqrt(V_min)
@@ -308,54 +199,65 @@ def select_bandwidth(
     if isinstance(data, IndividualDataset):
         if tag is not Estimator.INDIVIDUAL:
             raise UserInputError(f"the {tag.value} estimator needs pooled data")
-        pooled = _as_unit_pools(data)
-        tag_effective = Estimator.AVERAGE
+        x, n_folds = data.x, data.n_units
     else:
         if tag is Estimator.INDIVIDUAL:
             raise UserInputError("the individual estimator needs unpooled (x, y) data")
-        pooled = data
-        tag_effective = tag
+        x, n_folds = data.x_flat, data.n_pools
     if criterion not in ("pseudo", "pool"):
         raise UserInputError(f"unknown cv criterion {criterion!r}; use 'pseudo' or 'pool'")
-    if pooled.n_pools < 2:
-        raise TooFewRecords("leave-one-out needs at least 2 pools")
+    if n_folds < 2:
+        raise TooFewRecords("leave-one-out needs at least 2 pools or records")
 
-    h_grid = default_h_grid(pooled.x_flat) if grid is None else np.sort(
-        np.asarray(grid, dtype=float)
-    )
+    h_grid = default_h_grid(x) if grid is None else np.sort(np.asarray(grid, dtype=float))
     if h_grid.size == 0:
         raise UserInputError("the bandwidth grid is empty")
     if not np.all(h_grid > 0.0):
         raise UserInputError("bandwidth candidates must all be positive")
 
-    bounds = trim_bounds_for(pooled.x_flat) if trim else None
-    pseudo = build_pseudo_data(pooled) if tag_effective is Estimator.MARGINAL else None
+    bounds = trim_bounds_for(x) if trim else None
+    needed = _in_bounds(x, bounds)
+    pseudo = build_pseudo_data(data) if tag is Estimator.MARGINAL else None
+    kind = criterion if tag is Estimator.MARGINAL else "pool"
+    # predictions are made at every observed covariate x; drop holds the rows
+    # each one's fold leaves out of its fit, and target the responses they are
+    # scored against one by one (None for the pool criteria, scored per pool)
+    if tag is Estimator.INDIVIDUAL:
+        drop, pool_of, target = np.arange(x.size)[:, None], np.arange(x.size), data.y
+    elif kind == "pseudo":
+        drop, pool_of, target = np.arange(x.size)[:, None], data.member_pool_index, pseudo.r_flat
+    else:
+        pool_of, target = data.member_pool_index, None
+        drop = _own_pool_members(data) if tag is Estimator.MARGINAL else pool_of[:, None]
+    reason = ("leave-one-pseudo-point-out fit singular" if kind == "pseudo"
+              else "leave-pool-out fit singular at a member covariate")
 
     values = np.empty(h_grid.size)
     failures: list[FoldFailure] = []
     for i, h in enumerate(h_grid):
         cfg = replace(base_cfg, h=float(h))
-        if tag_effective in (Estimator.AVERAGE, Estimator.PRODUCT):
-            weight = "average" if tag_effective is Estimator.AVERAGE else "product"
-            value, fails = _pool_criterion_detail(pooled, weight, cfg, bounds)
-        elif criterion == "pseudo":
-            value, fails = _pseudo_criterion_detail(pooled, pseudo, cfg, bounds)
+        beta, failed = _local_fits(*_rows(tag, data, cfg, x, pseudo), cfg, drop=drop)
+        bad = failed & needed
+        if bad.any():
+            values[i] = np.nan
+            failures.extend(FoldFailure(cfg.h, int(pool_of[j]), float(x[j]), reason)
+                            for j in np.flatnonzero(bad))
+        elif target is None:
+            values[i] = _pool_rss(data, beta[:, 0], needed)
         else:
-            value, fails = _marginal_pool_criterion_detail(pooled, pseudo, cfg, bounds)
-        values[i] = value
-        failures.extend(fails)
+            resid = np.where(needed, target - beta[:, 0], 0.0)
+            values[i] = float(resid @ resid)
 
     finite = np.isfinite(values)
     if not finite.any():
         raise NoValidBandwidth(
             f"all {h_grid.size} candidate bandwidths failed cross-validation"
         )
-    kind = "pool" if tag_effective is not Estimator.MARGINAL else criterion
-    if kind == "pseudo":
-        scale = float(pseudo.r_flat @ pseudo.r_flat)
+    if target is None:
+        scale = float(data.sizes @ (data.z * data.z))
     else:
-        scale = float(pooled.sizes @ (pooled.z * pooled.z))
-    best = _smallest_tied(values, pooled.n_units, scale)
+        scale = float(target @ target)
+    best = _smallest_tied(values, x.size, scale)
     return CvTrace(
         estimator=tag,
         criterion_kind=kind,

@@ -15,16 +15,22 @@ derivative of the mean function.
     R_j = c_j Z_j - (c_j - 1) mu_hat expanded to every member covariate,
     where mu_hat is the overall per-unit mean response of the full dataset.
 
+One engine serves all four, at a single point and over a whole grid
+alike. A row builder gives the design rows D = (1, D_1, .., D_p) and weights
+w at every evaluation point: unit rows t^ell with t = (X - x)/h and weights
+K_h(X - x), or pool rows holding the member averages of t^ell with the
+average or the product of the member weights. The engine forms the normal
+sums A = sum_r w D D^T and b = sum_r w D y as plain row sums, subtracts the
+rows a cross-validation fold leaves out (one record, one pool, or a whole
+pool's member rows), and solves A beta = b.
+
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
-conditioned for small h. Singularity is detected from a reciprocal condition
-estimate and reported, never papered over with regularization.
-
-Scalar entry points (fit_*) return full coefficient vectors for one point.
-The _batch_* helpers evaluate only the fitted value over many points at once
-and exist because cross-validation and Monte Carlo loops would otherwise
-dominate run time; they support exact leave-one-unit-out and leave-pool-out
-downdates of the normal equations.
+conditioned for small h. A point fails when its normal sums are not finite
+or when rcond, the ratio of the smallest to the largest singular value of
+the h-scaled normal matrix, is below FitConfig.rcond_min. Failures are
+reported (NaN and a failure flag over a grid, SingularLocalSystem from the
+single-point fit_* functions), never papered over with regularization.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NonPositiveBandwidth, SingularLocalSystem, UserInputError
 from .data import IndividualDataset, PooledDataset
@@ -167,78 +172,174 @@ def build_pseudo_data(data: PooledDataset) -> PseudoData:
     return PseudoData(mu_hat=mu_hat, r=r, source=data)
 
 
-# ---------------------------------------------------------------------------
-# scalar path: one evaluation point, full coefficient vector, LAPACK condition
-# estimate from the factorization actually used for the solve
+def _unit_design(
+    x_arr: np.ndarray, grid: np.ndarray, cfg: FitConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Unit rows at every grid point: t^1..t^p of t = (X_i - x)/h, weights K_h(X_i - x)."""
+    t = x_arr[None, :] - grid[:, None]
+    t /= cfg.h
+    w = kernel_eval(cfg.kernel, t)
+    w /= cfg.h
+    powers = []
+    for ell in range(cfg.p):
+        powers.append(t if ell == 0 else powers[-1] * t)
+    return powers, w
 
 
-def _solve_normal_equations(A: np.ndarray, b: np.ndarray, cfg: FitConfig, x: float) -> np.ndarray:
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise SingularLocalSystem(
-            f"local system at x={x:g} overflowed (bandwidth too small?)"
-        )
-    lu, piv, info = lapack.dgetrf(A)
-    if info == 0:
-        anorm = np.abs(A).sum(axis=0).max()
-        rcond, cinfo = lapack.dgecon(lu, anorm, norm="1")
-        if cinfo != 0:
-            raise SingularLocalSystem(f"condition estimate failed at x={x:g}")
-    if info != 0 or rcond < cfg.rcond_min:
-        raise SingularLocalSystem(
-            f"local system at x={x:g} is singular to tolerance {cfg.rcond_min:g}"
-        )
-    beta_scaled, info = lapack.dgetrs(lu, piv, b)
-    if info != 0:
-        raise SingularLocalSystem(f"triangular solve failed at x={x:g}")
-    return beta_scaled / cfg.h ** np.arange(cfg.p + 1)
+def _pool_design(
+    data: PooledDataset, grid: np.ndarray, cfg: FitConfig, estimator: Estimator
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pool rows at every grid point: member averages of the unit rows.
 
-
-def _fit_rows(rows: np.ndarray, w: np.ndarray, resp: np.ndarray, cfg: FitConfig, x: float) -> LocalFit:
-    if not np.any(w > 0.0):
-        raise SingularLocalSystem(
-            f"every weight is zero at x={x:g}; no data falls in the kernel window"
-        )
-    wr = rows * w[:, None]
-    A = wr.T @ rows
-    b = wr.T @ resp
-    return LocalFit(x=x, beta=_solve_normal_equations(A, b, cfg, x))
-
-
-def _unit_rows(x_arr: np.ndarray, cfg: FitConfig, x: float) -> tuple[np.ndarray, np.ndarray]:
-    t = (x_arr - x) / cfg.h
-    w = kernel_eval(cfg.kernel, t) / cfg.h
-    rows = np.vander(t, cfg.p + 1, increasing=True)
-    return rows, w
-
-
-def _pool_rows(
-    data: PooledDataset, cfg: FitConfig, x: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pool design rows plus both weight flavours at one point."""
-    t = (data.x_flat - x) / cfg.h
-    k = kernel_eval(cfg.kernel, t) / cfg.h
+    The pool weight is the average of the member kernel weights, or their
+    product for the product-weighted estimator.
+    """
     starts = data.offsets[:-1]
-    rows = np.empty((data.n_pools, cfg.p + 1))
-    powers = np.ones_like(t)
-    for ell in range(cfg.p + 1):
-        rows[:, ell] = np.add.reduceat(powers, starts) / data.sizes
-        if ell < cfg.p:
-            powers = powers * t
-    w_avg = np.add.reduceat(k, starts) / data.sizes
-    w_prod = np.multiply.reduceat(k, starts)
-    return rows, w_avg, w_prod
+    t = data.x_flat[None, :] - grid[:, None]
+    t /= cfg.h
+    k = kernel_eval(cfg.kernel, t)
+    k /= cfg.h
+    if estimator is Estimator.PRODUCT:
+        w = np.multiply.reduceat(k, starts, axis=1)
+    else:
+        w = np.add.reduceat(k, starts, axis=1) / data.sizes
+    del k
+    powers = []
+    power = t
+    for ell in range(cfg.p):
+        if ell == 1:
+            power = t * t
+        elif ell > 1:
+            power *= t
+        powers.append(np.add.reduceat(power, starts, axis=1) / data.sizes)
+    return powers, w
+
+
+def _normal_sums(
+    powers: list[np.ndarray], w: np.ndarray, resp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A = sum w D D^T and b = sum w D y over the last axis, with D = (1, powers).
+
+    Every entry is a plain row sum of an elementwise product, so its
+    summation order is fixed by the array shape alone. resp broadcasts
+    against w.
+    """
+    q = len(powers) + 1
+    A = np.empty((w.shape[0], q, q))
+    b = np.empty((w.shape[0], q))
+    wd = np.empty_like(w)
+    scratch = np.empty_like(w)
+    for ell in range(q):
+        wd_ell = w if ell == 0 else np.multiply(w, powers[ell - 1], out=wd)
+        # D_0 = 1, so row 0 of A holds the plain sums of w D_ell
+        A[:, 0, ell] = A[:, ell, 0] = wd_ell.sum(axis=1)
+        b[:, ell] = np.multiply(wd_ell, resp, out=scratch).sum(axis=1)
+        if ell == 0:
+            continue
+        for ell2 in range(ell, q):
+            A[:, ell, ell2] = A[:, ell2, ell] = np.multiply(
+                wd_ell, powers[ell2 - 1], out=scratch
+            ).sum(axis=1)
+    return A, b
+
+
+def _solve(A: np.ndarray, b: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each h-scaled system; coefficients on the original scale plus failures.
+
+    A system fails when it is not finite or when the ratio of its smallest to
+    its largest singular value is below rcond_min. Failed rows hold NaN.
+    """
+    eye = np.eye(A.shape[1])
+    bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
+    A[bad] = eye
+    b[bad] = 0.0
+    s = np.linalg.svd(A, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = s[:, -1] / s[:, 0]
+    bad |= ~np.isfinite(rcond) | (rcond < cfg.rcond_min)
+    A[bad] = eye
+    beta = np.linalg.solve(A, b[..., None])[..., 0]
+    beta /= cfg.h ** np.arange(A.shape[1])
+    beta[bad] = np.nan
+    return beta, bad
+
+
+def _local_fits(
+    powers: list[np.ndarray],
+    w: np.ndarray,
+    resp: np.ndarray,
+    cfg: FitConfig,
+    drop: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients at every evaluation point of a design, and which points failed.
+
+    drop, when given, holds per evaluation point the indices of the rows left
+    out of that point's fit, padded with -1; their contribution is subtracted
+    from the normal sums. One row per point gives leave-one-out and
+    leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
+    """
+    A, b = _normal_sums(powers, w, resp)
+    if drop is not None:
+        used = drop >= 0
+        rows = np.where(used, drop, 0)
+
+        def gather(values: np.ndarray) -> np.ndarray:
+            if values.ndim == 1:
+                return np.where(used, values[rows], 0.0)
+            return np.where(used, np.take_along_axis(values, rows, axis=1), 0.0)
+
+        A_out, b_out = _normal_sums([gather(d) for d in powers], gather(w), gather(resp))
+        A -= A_out
+        b -= b_out
+    return _solve(A, b, cfg)
+
+
+def _rows(
+    estimator: Estimator,
+    data: IndividualDataset | PooledDataset,
+    cfg: FitConfig,
+    grid: np.ndarray,
+    pseudo: PseudoData | None = None,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Design rows, weights and responses of an estimator at every grid point."""
+    if estimator is Estimator.INDIVIDUAL:
+        if not isinstance(data, IndividualDataset):
+            raise UserInputError("the individual estimator needs unpooled (x, y) data")
+        return (*_unit_design(data.x, grid, cfg), data.y)
+    if not isinstance(data, PooledDataset):
+        raise UserInputError(f"the {estimator.value} estimator needs pooled data")
+    if estimator is Estimator.MARGINAL:
+        if pseudo is None:
+            pseudo = build_pseudo_data(data)
+        return (*_unit_design(data.x_flat, grid, cfg), pseudo.r_flat)
+    return (*_pool_design(data, grid, cfg, estimator), data.z)
+
+
+def _fit_point(
+    estimator: Estimator,
+    data: IndividualDataset | PooledDataset,
+    cfg: FitConfig,
+    x: float,
+    pseudo: PseudoData | None = None,
+) -> LocalFit:
+    grid = np.array([x], dtype=float)
+    beta, failed = _local_fits(*_rows(estimator, data, cfg, grid, pseudo), cfg)
+    if failed[0]:
+        raise SingularLocalSystem(
+            f"local system at x={x:g} is empty, overflowed or singular "
+            f"to tolerance {cfg.rcond_min:g}"
+        )
+    return LocalFit(x=x, beta=beta[0])
 
 
 def fit_individual(data: IndividualDataset, cfg: FitConfig, x: float) -> LocalFit:
     """Classical local polynomial fit on raw (x, y) records."""
-    rows, w = _unit_rows(data.x, cfg, x)
-    return _fit_rows(rows, w, data.y, cfg, x)
+    return _fit_point(Estimator.INDIVIDUAL, data, cfg, x)
 
 
 def fit_average_weighted(data: PooledDataset, cfg: FitConfig, x: float) -> LocalFit:
     """Pool-level fit with average design rows and averaged kernel weights."""
-    rows, w_avg, _ = _pool_rows(data, cfg, x)
-    return _fit_rows(rows, w_avg, data.z, cfg, x)
+    return _fit_point(Estimator.AVERAGE, data, cfg, x)
 
 
 def fit_product_weighted(data: PooledDataset, cfg: FitConfig, x: float) -> LocalFit:
@@ -248,187 +349,14 @@ def fit_product_weighted(data: PooledDataset, cfg: FitConfig, x: float) -> Local
     whole pool's weight, so expect SingularLocalSystem for small bandwidths
     and large pools.
     """
-    rows, _, w_prod = _pool_rows(data, cfg, x)
-    return _fit_rows(rows, w_prod, data.z, cfg, x)
+    return _fit_point(Estimator.PRODUCT, data, cfg, x)
 
 
 def fit_marginal_integration(
     data: PooledDataset, cfg: FitConfig, x: float, pseudo: PseudoData | None = None
 ) -> LocalFit:
     """Individual-style fit on pseudo responses expanded to member covariates."""
-    if pseudo is None:
-        pseudo = build_pseudo_data(data)
-    rows, w = _unit_rows(data.x_flat, cfg, x)
-    return _fit_rows(rows, w, pseudo.r_flat, cfg, x)
-
-
-# ---------------------------------------------------------------------------
-# batch path: fitted values over many evaluation points at once
-
-
-def _batch_solve(A: np.ndarray, b: np.ndarray, rcond_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of small symmetric systems, flagging ill conditioned ones.
-
-    Returns (beta0, failed). Failed systems get a NaN fitted value. The
-    reciprocal condition number comes from singular values, which differs
-    from the scalar path's 1-norm estimate by at most a modest factor; both
-    paths use the same threshold.
-    """
-    bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
-    A = np.where(bad[:, None, None], np.eye(A.shape[1]), A)
-    b = np.where(bad[:, None], 0.0, b)
-    s = np.linalg.svd(A, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rcond = s[:, -1] / s[:, 0]
-    bad |= ~np.isfinite(rcond) | (rcond < rcond_min)
-    A = np.where(bad[:, None, None], np.eye(A.shape[1]), A)
-    beta = np.linalg.solve(A, b[..., None])[..., 0]
-    values = np.where(bad, np.nan, beta[:, 0])
-    return values, bad
-
-
-def _batch_fit_units(
-    x_arr: np.ndarray,
-    resp: np.ndarray,
-    cfg: FitConfig,
-    grid: np.ndarray,
-    drop_self: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Individual-style fitted values at each grid point.
-
-    With drop_self=True the grid must be x_arr itself; each point's own
-    record is removed from its fit by subtracting its contribution from the
-    normal equations. At the point's own covariate the scaled basis is
-    (1, 0, ..., 0), so only A[0, 0] and b[0] change.
-    """
-    q = cfg.p + 1
-    t = (x_arr[None, :] - grid[:, None]) / cfg.h
-    w = kernel_eval(cfg.kernel, t) / cfg.h
-    # moment sums S_q = sum_i w_i t_i^q for q = 0 .. 2p, then b_ell alongside
-    n_s = 2 * cfg.p + 1
-    moments = np.empty((len(grid), n_s))
-    resp_moments = np.empty((len(grid), q))
-    powers = w.copy()
-    for k in range(n_s):
-        moments[:, k] = powers.sum(axis=1)
-        if k < q:
-            resp_moments[:, k] = (powers * resp[None, :]).sum(axis=1)
-        if k + 1 < n_s:
-            powers *= t
-    idx = np.arange(q)
-    A = moments[:, idx[:, None] + idx[None, :]]
-    b = resp_moments.copy()
-    if drop_self:
-        w0 = kernel_eval(cfg.kernel, 0.0) / cfg.h
-        A = A.copy()
-        A[:, 0, 0] -= w0
-        b[:, 0] -= w0 * resp
-    return _batch_solve(A, b, cfg.rcond_min)
-
-
-def _batch_fit_units_drop_group(
-    x_arr: np.ndarray,
-    resp: np.ndarray,
-    cfg: FitConfig,
-    grid: np.ndarray,
-    starts: np.ndarray,
-    drop_group: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Individual-style fits that exclude one whole group per grid point.
-
-    starts delimits contiguous groups of x_arr (as in PooledDataset.offsets
-    minus its last entry); drop_group[m] names the group removed from the
-    fit at grid[m]. Used by the pool-level cross-validation variant of the
-    marginal estimator, where a prediction at a member covariate must not
-    see any pseudo point derived from that member's own pool.
-    """
-    q = cfg.p + 1
-    n_s = 2 * cfg.p + 1
-    t = (x_arr[None, :] - grid[:, None]) / cfg.h
-    w = kernel_eval(cfg.kernel, t) / cfg.h
-    m_idx = np.arange(len(grid))
-    group_m = np.empty((len(grid), n_s))
-    group_b = np.empty((len(grid), q))
-    moments = np.empty((len(grid), n_s))
-    resp_moments = np.empty((len(grid), q))
-    powers = w.copy()
-    for k in range(n_s):
-        blocks = np.add.reduceat(powers, starts, axis=1)
-        moments[:, k] = blocks.sum(axis=1)
-        group_m[:, k] = blocks[m_idx, drop_group]
-        if k < q:
-            yblocks = np.add.reduceat(powers * resp[None, :], starts, axis=1)
-            resp_moments[:, k] = yblocks.sum(axis=1)
-            group_b[:, k] = yblocks[m_idx, drop_group]
-        if k + 1 < n_s:
-            powers *= t
-    idx = np.arange(q)
-    A = moments[:, idx[:, None] + idx[None, :]] - group_m[:, idx[:, None] + idx[None, :]]
-    b = resp_moments - group_b
-    return _batch_solve(A, b, cfg.rcond_min)
-
-
-def _batch_fit_pools(
-    data: PooledDataset,
-    cfg: FitConfig,
-    grid: np.ndarray,
-    weight: str,
-    drop_pool: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool-level fitted values at each grid point.
-
-    weight is "average" or "product". drop_pool, when given, holds one pool
-    index per grid point whose contribution is removed from that point's
-    normal equations (exact rank-one downdate), which is how leave-pool-out
-    cross-validation evaluates at member covariates.
-    """
-    q = cfg.p + 1
-    starts = data.offsets[:-1]
-    t = (data.x_flat[None, :] - grid[:, None]) / cfg.h
-    k = kernel_eval(cfg.kernel, t) / cfg.h
-    d = np.empty((len(grid), data.n_pools, q))
-    powers = np.ones_like(t)
-    for ell in range(q):
-        d[:, :, ell] = np.add.reduceat(powers, starts, axis=1) / data.sizes
-        if ell + 1 < q:
-            powers *= t
-    if weight == "average":
-        w = np.add.reduceat(k, starts, axis=1) / data.sizes
-    elif weight == "product":
-        w = np.multiply.reduceat(k, starts, axis=1)
-    else:
-        raise ValueError(f"unknown weight scheme {weight!r}")
-    A = np.einsum("mjl,mjq,mj->mlq", d, d, w, optimize=True)
-    b = np.einsum("mjl,mj->ml", d, w * data.z[None, :])
-    if drop_pool is not None:
-        m_idx = np.arange(len(grid))
-        dj = d[m_idx, drop_pool, :]
-        wj = w[m_idx, drop_pool]
-        A = A - wj[:, None, None] * dj[:, :, None] * dj[:, None, :]
-        b = b - (wj * data.z[drop_pool])[:, None] * dj
-    return _batch_solve(A, b, cfg.rcond_min)
-
-
-def _curve_values(
-    estimator: Estimator,
-    data: IndividualDataset | PooledDataset,
-    cfg: FitConfig,
-    grid: np.ndarray,
-    pseudo: PseudoData | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if estimator is Estimator.INDIVIDUAL:
-        if not isinstance(data, IndividualDataset):
-            raise UserInputError("the individual estimator needs unpooled (x, y) data")
-        return _batch_fit_units(data.x, data.y, cfg, grid)
-    if not isinstance(data, PooledDataset):
-        raise UserInputError(f"the {estimator.value} estimator needs pooled data")
-    if estimator is Estimator.AVERAGE:
-        return _batch_fit_pools(data, cfg, grid, "average")
-    if estimator is Estimator.PRODUCT:
-        return _batch_fit_pools(data, cfg, grid, "product")
-    if pseudo is None:
-        pseudo = build_pseudo_data(data)
-    return _batch_fit_units(data.x_flat, pseudo.r_flat, cfg, grid)
+    return _fit_point(Estimator.MARGINAL, data, cfg, x, pseudo)
 
 
 def estimate_curve(
@@ -447,7 +375,7 @@ def estimate_curve(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise UserInputError("the evaluation grid must be a nonempty 1-d sequence")
-    values, failed = _curve_values(estimator, data, cfg, grid, pseudo=pseudo)
+    beta, failed = _local_fits(*_rows(estimator, data, cfg, grid, pseudo), cfg)
     return CurveEstimate(
-        grid=grid, values=values, failed=failed, estimator=estimator, config=cfg
+        grid=grid, values=beta[:, 0], failed=failed, estimator=estimator, config=cfg
     )

@@ -17,21 +17,17 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 
-from .errors import NonPositiveBandwidth, QuadratureFailure, UnsupportedKernel
+from .errors import QuadratureFailure, UnsupportedKernel
 
 __all__ = [
     "KernelKind",
-    "MomentTable",
     "kernel_eval",
-    "kernel_scaled",
     "compute_moments",
-    "moment_table",
 ]
 
 QUAD_ABS_TOL = 1e-13
@@ -83,15 +79,6 @@ def kernel_eval(kind: KernelKind, t):
         body = float(const) * (1.0 - t * t) ** m
     out = np.where(inside, body, 0.0)
     return out if out.ndim else float(out)
-
-
-def kernel_scaled(kind: KernelKind, t, h: float):
-    """Evaluate K(t/h)/h for bandwidth h > 0."""
-    if not (h > 0.0):
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {h}")
-    out = kernel_eval(kind, np.asarray(t, dtype=float) / h)
-    out = out / h
-    return out if np.ndim(out) else float(out)
 
 
 def _poly_moment_exact(kind: KernelKind, ell: int, power: int) -> float:
@@ -151,30 +138,3 @@ def compute_moments(kind: KernelKind, max_order: int, power: int = 1) -> tuple[f
         values = tuple(_quad_moment(kind, ell, power) for ell in range(max_order + 1))
     with _cache_lock:
         return _cache.setdefault(key, values)
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Plain and squared kernel moments, with pooled-power variants on demand."""
-
-    kind: KernelKind
-    max_order: int
-    mu: tuple[float, ...]
-    nu: tuple[float, ...]
-
-    def mu_dagger(self, c: int) -> tuple[float, ...]:
-        """Moments of K^c (the kernel raised to the pool size)."""
-        return compute_moments(self.kind, self.max_order, power=c)
-
-    def nu_dagger(self, c: int) -> tuple[float, ...]:
-        """Moments of K^(2c), the square of the pooled-power kernel."""
-        return compute_moments(self.kind, self.max_order, power=2 * c)
-
-
-def moment_table(kind: KernelKind, max_order: int) -> MomentTable:
-    return MomentTable(
-        kind=kind,
-        max_order=max_order,
-        mu=compute_moments(kind, max_order, power=1),
-        nu=compute_moments(kind, max_order, power=2),
-    )

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from poolreg.bandwidth import (
-    CvTrace,
-    cv_prss_pseudo,
-    cv_rss_pool,
-    default_h_grid,
-    select_bandwidth,
-    trim_bounds_for,
-)
+from poolreg.bandwidth import CvTrace, default_h_grid, select_bandwidth, trim_bounds_for
 from poolreg.data import Design, IndividualDataset, PooledDataset, pool_random
 from poolreg.errors import NoValidBandwidth, TooFewRecords, UserInputError
 from poolreg.estimators import (
@@ -70,6 +63,12 @@ def prss_oracle(pooled, cfg, h, bounds=None):
     return total
 
 
+def cv_value(data, tag, h, trim=False, criterion="pseudo"):
+    """select_bandwidth's criterion at the single candidate h."""
+    trace = select_bandwidth(data, tag, BASE, grid=[h], trim=trim, criterion=criterion)
+    return trace.criterion[0]
+
+
 def random_pooled(seed=0, n=18, c=3):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=n)
@@ -81,14 +80,16 @@ class TestPoolCriterion:
     def test_matches_fold_oracle(self):
         pooled = random_pooled(seed=2, n=9, c=3)
         for tag in (Estimator.AVERAGE, Estimator.PRODUCT):
-            got = cv_rss_pool(pooled, tag, BASE, h=2.5)
+            got = cv_value(pooled, tag, h=2.5)
             want = rss_pool_oracle(pooled, tag, BASE, h=2.5)
             assert abs(got - want) <= 1e-10 * max(1.0, want), tag
 
     def test_matches_fold_oracle_with_trimming(self):
         pooled = random_pooled(seed=3, n=12, c=2)
         bounds = trim_bounds_for(pooled.x_flat)
-        got = cv_rss_pool(pooled, Estimator.AVERAGE, BASE, h=1.0, trim_bounds=bounds)
+        trace = select_bandwidth(pooled, Estimator.AVERAGE, BASE, grid=[1.0], trim=True)
+        assert trace.trim_bounds == bounds
+        got = trace.criterion[0]
         want = rss_pool_oracle(pooled, Estimator.AVERAGE, BASE, h=1.0, bounds=bounds)
         assert abs(got - want) <= 1e-10 * max(1.0, want)
 
@@ -97,7 +98,7 @@ class TestPoolCriterion:
             z=[4.0, 4.0, 4.0], sizes=[2, 2, 2],
             x_flat=[0.0, 0.3, 0.5, 0.6, 0.9, 1.0], design=Design.EXTERNAL,
         )
-        assert cv_rss_pool(pooled, Estimator.AVERAGE, BASE, h=2.0) <= 1e-20
+        assert cv_value(pooled, Estimator.AVERAGE, h=2.0) <= 1e-20
 
     def test_unit_pools_equal_classical_loo(self):
         rng = np.random.default_rng(9)
@@ -106,7 +107,7 @@ class TestPoolCriterion:
         pooled = PooledDataset(
             z=y, sizes=np.ones(10, dtype=int), x_flat=x, design=Design.EXTERNAL
         )
-        got = cv_rss_pool(pooled, Estimator.AVERAGE, BASE, h=0.8)
+        got = cv_value(pooled, Estimator.AVERAGE, h=0.8)
         classical = 0.0
         for i in range(10):
             keep = np.ones(10, bool)
@@ -114,7 +115,7 @@ class TestPoolCriterion:
             pred = fit_individual(IndividualDataset(x=x[keep], y=y[keep]), FitConfig(p=0, h=0.8), float(x[i])).m_hat
             classical += (y[i] - pred) ** 2
         assert abs(got - classical) <= 1e-10
-        pseudo_val = cv_prss_pseudo(pooled, BASE, h=0.8)
+        pseudo_val = cv_value(pooled, Estimator.MARGINAL, h=0.8)
         assert abs(pseudo_val - got) <= 1e-10
 
     def test_pool_order_invariance(self):
@@ -126,25 +127,20 @@ class TestPoolCriterion:
             x_flat=np.concatenate([pooled.x_flat[off[j]:off[j + 1]] for j in perm]),
             design=Design.EXTERNAL,
         )
-        a = cv_rss_pool(pooled, Estimator.AVERAGE, BASE, h=1.1)
-        b = cv_rss_pool(shuffled, Estimator.AVERAGE, BASE, h=1.1)
+        a = cv_value(pooled, Estimator.AVERAGE, h=1.1)
+        b = cv_value(shuffled, Estimator.AVERAGE, h=1.1)
         assert abs(a - b) <= 1e-10 * max(1.0, a)
 
     def test_too_few_pools(self):
         pooled = PooledDataset(z=[1.0], sizes=[2], x_flat=[0.0, 1.0], design=Design.EXTERNAL)
         with pytest.raises(TooFewRecords):
-            cv_rss_pool(pooled, Estimator.AVERAGE, BASE, h=1.0)
-
-    def test_wrong_tag(self):
-        pooled = random_pooled()
-        with pytest.raises(UserInputError):
-            cv_rss_pool(pooled, Estimator.MARGINAL, BASE, h=1.0)
+            cv_value(pooled, Estimator.AVERAGE, h=1.0)
 
 
 class TestPseudoCriterion:
     def test_matches_fold_oracle(self):
         pooled = random_pooled(seed=5, n=12, c=3)
-        got = cv_prss_pseudo(pooled, BASE, h=1.3)
+        got = cv_value(pooled, Estimator.MARGINAL, h=1.3)
         want = prss_oracle(pooled, BASE, h=1.3)
         assert abs(got - want) <= 1e-9 * max(1.0, want)
 
@@ -156,7 +152,7 @@ class TestPseudoCriterion:
         # pseudo responses are (1, 1, 5, 5); with h spanning everything and
         # p=0 each left-out prediction is the weighted mean of the other 3
         h = 100.0
-        got = cv_prss_pseudo(pooled, BASE, h=h)
+        got = cv_value(pooled, Estimator.MARGINAL, h=h)
         want = prss_oracle(pooled, BASE, h=h)
         assert abs(got - want) <= 1e-9
         assert got > 0.0
@@ -166,7 +162,7 @@ class TestPseudoCriterion:
             z=[4.0, 4.0], sizes=[2, 2], x_flat=[0.0, 1.0, 2.0, 3.0],
             design=Design.EXTERNAL,
         )
-        assert cv_prss_pseudo(pooled, BASE, h=10.0) <= 1e-20
+        assert cv_value(pooled, Estimator.MARGINAL, h=10.0) <= 1e-20
 
     def test_sibling_pseudo_points_stay(self):
         # two pools sharing a covariate value: leaving one pseudo point out
@@ -175,7 +171,7 @@ class TestPseudoCriterion:
             z=[0.0, 10.0], sizes=[2, 2], x_flat=[0.0, 0.0, 0.0, 5.0],
             design=Design.EXTERNAL,
         )
-        got = cv_prss_pseudo(pooled, BASE, h=10.0)
+        got = cv_value(pooled, Estimator.MARGINAL, h=10.0)
         want = prss_oracle(pooled, BASE, h=10.0)
         assert abs(got - want) <= 1e-9
 
@@ -255,7 +251,7 @@ class TestSelectBandwidth:
         pooled = PooledDataset(
             z=y, sizes=np.ones(14, dtype=int), x_flat=x, design=Design.EXTERNAL
         )
-        want = [cv_rss_pool(pooled, Estimator.AVERAGE, BASE, h) for h in (0.6, 0.8)]
+        want = [cv_value(pooled, Estimator.AVERAGE, h) for h in (0.6, 0.8)]
         np.testing.assert_allclose(trace.criterion, want, rtol=1e-12)
         with pytest.raises(UserInputError):
             select_bandwidth(data, Estimator.AVERAGE, BASE)

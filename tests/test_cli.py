@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import os
 import subprocess
 import sys
 
@@ -109,6 +110,27 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert (a / "replications.csv").read_bytes() == (b / "replications.csv").read_bytes()
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # the simulate study of the byte-identical-rerun acceptance check
+        cfg = write_cfg(
+            tmp_path,
+            "dgp = d3\nn = 60\nc = 2\np = 1\nh = 0.8\n"
+            "grid_min = -1\ngrid_max = 1\ngrid_count = 5\n"
+            "replications = 6\nseed = 11\n",
+        )
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                RUN + ["simulate", "--config", cfg, "--out", str(out)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("replications.csv", "curves.csv", "quartiles.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_resolved_config_round_trips(self, tmp_path):
         cfg = write_cfg(tmp_path, SIMULATE_CFG)

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import beta as beta_fn
 
-from poolreg.errors import NonPositiveBandwidth, UnsupportedKernel
-from poolreg.kernels import (
-    KernelKind,
-    compute_moments,
-    kernel_eval,
-    kernel_scaled,
-    moment_table,
-)
+from poolreg.errors import UnsupportedKernel
+from poolreg.kernels import KernelKind, compute_moments, kernel_eval
+from poolreg.theory import moment_matrices
 
 ALL_KINDS = list(KernelKind)
 
@@ -56,22 +51,6 @@ class TestEvaluation:
         assert out.shape == (37, 1)
         assert np.all(out[np.abs(t) > 1] == 0.0)
 
-    def test_scaled_kernel(self):
-        np.testing.assert_allclose(
-            kernel_scaled(KernelKind.EPANECHNIKOV, 0.0, 0.5), 1.5, rtol=1e-15
-        )
-        # K_h(t) = K(t/h)/h
-        np.testing.assert_allclose(
-            kernel_scaled(KernelKind.QUARTIC, 0.3, 2.0),
-            kernel_eval(KernelKind.QUARTIC, 0.15) / 2.0,
-            rtol=1e-15,
-        )
-
-    @pytest.mark.parametrize("h", [0.0, -1.0])
-    def test_scaled_rejects_nonpositive_bandwidth(self, h):
-        with pytest.raises(NonPositiveBandwidth):
-            kernel_scaled(KernelKind.EPANECHNIKOV, 0.0, h)
-
     def test_parse(self):
         assert KernelKind.parse(" Epanechnikov ") is KernelKind.EPANECHNIKOV
         assert KernelKind.parse("gaussian") is KernelKind.GAUSSIAN
@@ -81,7 +60,7 @@ class TestEvaluation:
 
 class TestMoments:
     def test_epanechnikov_key_moments(self):
-        table = moment_table(KernelKind.EPANECHNIKOV, 4)
+        table = moment_matrices(KernelKind.EPANECHNIKOV, 1)
         assert abs(table.mu[0] - 1.0) <= 1e-12
         assert abs(table.mu[2] - 0.2) <= 1e-12
         assert abs(table.nu[0] - 0.6) <= 1e-12
@@ -89,17 +68,17 @@ class TestMoments:
         assert abs(table.mu[4] - 3.0 / 35.0) <= 1e-12
 
     def test_quartic_and_triweight_key_moments(self):
-        q = moment_table(KernelKind.QUARTIC, 2)
+        q = moment_matrices(KernelKind.QUARTIC, 0)
         assert abs(q.mu[2] - 1.0 / 7.0) <= 1e-12
         assert abs(q.nu[0] - 5.0 / 7.0) <= 1e-12
-        t = moment_table(KernelKind.TRIWEIGHT, 2)
+        t = moment_matrices(KernelKind.TRIWEIGHT, 0)
         assert abs(t.mu[2] - 1.0 / 9.0) <= 1e-12
         assert abs(t.nu[0] - 350.0 / 429.0) <= 1e-12
 
     def test_tricube_against_beta_function(self):
         # independent closed form: integral of t^ell (1-t^3)^M over [0,1]
         # equals B((ell+1)/3, M+1)/3 for even ell
-        table = moment_table(KernelKind.TRICUBE, 2)
+        table = moment_matrices(KernelKind.TRICUBE, 0)
         mu2 = (70.0 / 81.0) * (2.0 / 3.0) * beta_fn(1.0, 4.0)
         nu0 = (70.0 / 81.0) ** 2 * (2.0 / 3.0) * beta_fn(1.0 / 3.0, 7.0)
         assert abs(table.mu[2] - mu2) <= 1e-12
@@ -107,7 +86,7 @@ class TestMoments:
         assert abs(table.mu[2] - 35.0 / 243.0) <= 1e-12
 
     def test_gaussian_key_moments(self):
-        table = moment_table(KernelKind.GAUSSIAN, 4)
+        table = moment_matrices(KernelKind.GAUSSIAN, 1)
         assert abs(table.mu[0] - 1.0) <= 1e-12
         assert abs(table.mu[2] - 1.0) <= 1e-12
         assert abs(table.mu[4] - 3.0) <= 1e-11
@@ -135,13 +114,13 @@ class TestMoments:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_power_one_is_the_plain_moment(self, kind):
-        table = moment_table(kind, 3)
-        assert table.mu_dagger(1) == table.mu
-        assert table.nu_dagger(1) == table.nu
+        table = moment_matrices(kind, 1, power=1)
+        assert table.mu == compute_moments(kind, 4)
+        assert table.nu == compute_moments(kind, 4, power=2)
 
     def test_power_two_equals_squared_kernel_moments(self):
-        table = moment_table(KernelKind.GAUSSIAN, 3)
-        assert table.mu_dagger(2) == table.nu
+        assert (moment_matrices(KernelKind.GAUSSIAN, 1, power=2).mu
+                == moment_matrices(KernelKind.GAUSSIAN, 1).nu)
 
     def test_pooled_power_moments_decrease(self):
         # raising a bounded density-like kernel to a higher power shrinks mass
