@@ -61,7 +61,7 @@ import numpy as np
 
 from .data import IndividualDataset, PooledDataset
 from .errors import NoValidBandwidth, TooFewRecords, UserInputError
-from .estimators import Estimator, FitConfig, build_pseudo_data, _local_fits, _rows
+from .estimators import Estimator, FitConfig, build_pseudo_data, _local_fits
 
 __all__ = [
     "CvTrace",
@@ -130,19 +130,12 @@ def default_h_grid(x_values, n: int = 30) -> np.ndarray:
     return np.geomspace(lower, upper, n)
 
 
-def _own_pool_members(pooled: PooledDataset) -> np.ndarray:
-    """Per member covariate, the indices of every member of its pool, -1 padded."""
-    slot = np.arange(pooled.max_size)
-    pool = pooled.member_pool_index
-    members = pooled.offsets[pool][:, None] + slot
-    return np.where(slot < pooled.sizes[pool][:, None], members, -1)
-
-
 def _pool_rss(pooled: PooledDataset, fitted: np.ndarray, needed: np.ndarray) -> float:
     """Sum over pools of c_j (Z_j - mean prediction at its needed members)^2."""
-    starts = pooled.offsets[:-1]
-    counts = np.add.reduceat(needed.astype(float), starts)
-    sums = np.add.reduceat(np.where(needed, fitted, 0.0), starts)
+    table = pooled.member_table
+    present = table >= 0
+    counts = (present & needed[table]).sum(axis=1)
+    sums = np.where(present, np.where(needed, fitted, 0.0)[table], 0.0).sum(axis=1)
     include = counts > 0
     inner = sums[include] / counts[include]
     resid = pooled.z[include] - inner
@@ -228,7 +221,7 @@ def select_bandwidth(
         drop, pool_of, target = np.arange(x.size)[:, None], data.member_pool_index, pseudo.r_flat
     else:
         pool_of, target = data.member_pool_index, None
-        drop = _own_pool_members(data) if tag is Estimator.MARGINAL else pool_of[:, None]
+        drop = data.member_table[pool_of] if tag is Estimator.MARGINAL else pool_of[:, None]
     reason = ("leave-one-pseudo-point-out fit singular" if kind == "pseudo"
               else "leave-pool-out fit singular at a member covariate")
 
@@ -236,7 +229,7 @@ def select_bandwidth(
     failures: list[FoldFailure] = []
     for i, h in enumerate(h_grid):
         cfg = replace(base_cfg, h=float(h))
-        beta, failed = _local_fits(*_rows(tag, data, cfg, x, pseudo), cfg, drop=drop)
+        beta, failed = _local_fits(tag, data, cfg, x, pseudo, drop)
         bad = failed & needed
         if bad.any():
             values[i] = np.nan

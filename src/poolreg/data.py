@@ -1,8 +1,9 @@
 """Dataset containers, pooling designs, and ingestion of external pooled data.
 
 A pooled dataset is stored flat: all member covariates live in one array,
-contiguous per pool, with an offsets table giving each pool's slice. That
-layout is what the estimator batch paths consume directly.
+contiguous per pool, with an offsets table giving each pool's slice. A
+member table gives the same layout as one row of member positions per pool,
+padded with -1, so that per-pool sums are sums over its last axis.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ class PooledDataset:
         return off
 
     @cached_property
+    def member_table(self) -> np.ndarray:
+        """Positions in x_flat of each pool's members, one row per pool, -1 padded."""
+        table = _member_table(self.sizes)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def member_pool_index(self) -> np.ndarray:
         idx = np.repeat(np.arange(self.n_pools, dtype=np.int64), self.sizes)
         idx.flags.writeable = False
@@ -161,6 +169,13 @@ class PooledDataset:
             yield Pool(self.ids[j], float(self.z[j]), self.x_flat[off[j]:off[j + 1]])
 
 
+def _member_table(sizes: np.ndarray) -> np.ndarray:
+    """Flat positions of each pool's members, one row per pool, padded with -1."""
+    starts = np.cumsum(sizes) - sizes
+    slot = np.arange(int(sizes.max()))
+    return np.where(slot < sizes[:, None], starts[:, None] + slot, -1)
+
+
 def _chunk_sizes(n: int, c: int, require_divisible: bool) -> np.ndarray:
     if c < 1:
         raise UserInputError(f"pool size must be at least 1, got {c}")
@@ -182,9 +197,8 @@ def _pool_by_order(
     sizes = _chunk_sizes(data.n_units, c, require_divisible)
     x_flat = data.x[order]
     y_flat = data.y[order]
-    starts = np.zeros(sizes.size, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    z = np.add.reduceat(y_flat, starts) / sizes
+    table = _member_table(sizes)
+    z = np.where(table >= 0, y_flat[table], 0.0).sum(axis=1) / sizes
     return PooledDataset(z=z, sizes=sizes, x_flat=x_flat, design=design)
 
 

@@ -20,7 +20,6 @@ import threading
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure, UnsupportedKernel
 
@@ -94,6 +93,9 @@ def _poly_moment_exact(kind: KernelKind, ell: int, power: int) -> float:
 
 
 def _quad_moment(kind: KernelKind, ell: int, power: int) -> float:
+    # imported here: scipy.integrate would dominate the cost of importing poolreg
+    from scipy import integrate
+
     def integrand(t: float) -> float:
         return t**ell * kernel_eval(kind, t) ** power
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .data import Design
 from .errors import (
@@ -178,6 +177,9 @@ class TheoryContext:
         probable divergence (heavy tails can otherwise extrapolate to a
         finite-looking number with a deceptively small error estimate).
         """
+        # imported here: scipy.integrate would dominate the cost of importing poolreg
+        from scipy import integrate
+
         a, b = self.support
         integrand = lambda s: float(fun(s)) * float(self.density(s))
         finite = np.isfinite(a) and np.isfinite(b)

@@ -6,6 +6,8 @@ so they stay visible even when everything passes and output capture would
 otherwise swallow them.
 """
 
+import os
+
 import pytest
 
 _ACCEPTANCE_LINES = []
@@ -22,6 +24,14 @@ def accept():
         assert ok, line
 
     return report
+
+
+def pytest_configure(config):
+    """Child interpreters started by the CLI tests import poolreg from this tree."""
+    src = str(config.rootpath / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -317,3 +319,22 @@ class TestDefaultGrid:
     def test_single_point_rejected(self):
         with pytest.raises(TooFewRecords):
             default_h_grid([1.0])
+
+
+class TestMemory:
+    def test_cv_memory_follows_the_kernel_window(self):
+        # one dense 20,000 x 20,000 points-by-members array alone is 3.2 GB
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-1, 1, size=20_000)
+        y = np.sin(2 * x) + rng.normal(scale=0.3, size=x.size)
+        pooled = pool_random(IndividualDataset(x=x, y=y), 3, rng)
+        cfg = FitConfig(p=1, h=1.0)
+        tracemalloc.start()
+        try:
+            for tag in (Estimator.AVERAGE, Estimator.MARGINAL):
+                trace = select_bandwidth(pooled, tag, cfg, grid=[0.003, 0.01])
+                assert np.isfinite(trace.criterion).any()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256e6, f"peak {peak / 1e6:.0f} MB"

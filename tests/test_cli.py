@@ -31,6 +31,14 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def test_import_loads_no_scipy():
+    # scipy.integrate alone once made up most of the cost of importing poolreg
+    code = "import sys, poolreg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestConfigParsing:
     def test_defaults_and_overrides(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, "dgp = D2\nn = 100\n# a comment\n"))
