@@ -18,7 +18,6 @@ __all__ = [
     "NonFiniteValue",
     "UnsupportedKernel",
     "TooFewRecords",
-    "QuadratureFailure",
     "SingularLocalSystem",
     "NoValidBandwidth",
     "DivergentMoment",
@@ -61,10 +60,6 @@ class UnsupportedKernel(UserInputError):
 
 class TooFewRecords(UserInputError):
     """Not enough records to perform the requested selection."""
-
-
-class QuadratureFailure(NumericalFailure):
-    """Adaptive quadrature did not reach the requested accuracy."""
 
 
 class SingularLocalSystem(NumericalFailure):

@@ -6,10 +6,20 @@ Conventions used throughout the package:
   * the bandwidth-scaled kernel is K_h(t) = K(t/h) / h;
   * the moment of order ell and power q is the integral of t^ell K(t)^q dt.
 
-Moments of the polynomial kernels (powers of 1 - t^2) are evaluated in exact
-rational arithmetic and rounded once; the tricube and Gaussian kernels go
-through adaptive quadrature. Results are cached per (kernel, order, power).
-The cache is safe for concurrent reads; inserts are serialized by a lock.
+Every moment has a closed form, and odd orders vanish by symmetry. The
+compact kernels are const (1 - |t|^a)^m (a = 2 with m = 1, 2, 3 for
+Epanechnikov, quartic and triweight; a = 3, m = 3 for tricube), so for even
+ell a binomial expansion gives
+
+    int t^ell K^q = 2 const^q sum_i C(mq, i) (-1)^i / (ell + a i + 1),
+
+summed in exact rationals and rounded once. For the Gaussian kernel,
+
+    int t^ell K^q = (ell - 1)!! (2 pi)^(-(q - 1)/2) q^(-(ell + 1)/2),
+
+whose rational part is exact, so q = 1 gives the integers (ell - 1)!!.
+Results are cached per (kernel, order, power). The cache is safe for
+concurrent reads; inserts are serialized by a lock.
 """
 
 from __future__ import annotations
@@ -21,15 +31,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import QuadratureFailure, UnsupportedKernel
+from .errors import UnsupportedKernel
 
 __all__ = [
     "KernelKind",
     "kernel_eval",
     "compute_moments",
 ]
-
-QUAD_ABS_TOL = 1e-13
 
 
 class KernelKind(enum.Enum):
@@ -61,6 +69,12 @@ _POLY_FAMILY = {
     KernelKind.TRIWEIGHT: (Fraction(35, 32), 3),
 }
 
+# (normalizing constant, a, m) for every compact kernel const * (1-|t|^a)^m
+_COMPACT_FAMILY = {
+    **{kind: (const, 2, m) for kind, (const, m) in _POLY_FAMILY.items()},
+    KernelKind.TRICUBE: (Fraction(70, 81), 3, 3),
+}
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -80,40 +94,19 @@ def kernel_eval(kind: KernelKind, t):
     return out if out.ndim else float(out)
 
 
-def _poly_moment_exact(kind: KernelKind, ell: int, power: int) -> float:
-    # integral of t^ell [const (1-t^2)^m]^power over [-1, 1], exact rationals
+def _moment(kind: KernelKind, ell: int, power: int) -> float:
+    # integral of t^ell K(t)^power over the real line, closed forms above
     if ell % 2 == 1:
         return 0.0
-    const, m = _POLY_FAMILY[kind]
+    if kind is KernelKind.GAUSSIAN:
+        rational = Fraction(math.prod(range(ell - 1, 0, -2)), power ** (ell // 2))
+        return float(rational) / (math.sqrt(power) * (2.0 * math.pi) ** ((power - 1) / 2))
+    const, a, m = _COMPACT_FAMILY[kind]
     big_m = m * power
     total = Fraction(0)
     for i in range(big_m + 1):
-        total += Fraction((-1) ** i * math.comb(big_m, i) * 2, ell + 2 * i + 1)
+        total += Fraction((-1) ** i * math.comb(big_m, i) * 2, ell + a * i + 1)
     return float(const**power * total)
-
-
-def _quad_moment(kind: KernelKind, ell: int, power: int) -> float:
-    # imported here: scipy.integrate would dominate the cost of importing poolreg
-    from scipy import integrate
-
-    def integrand(t: float) -> float:
-        return t**ell * kernel_eval(kind, t) ** power
-
-    if kind.compact:
-        # split at 0 so the adaptive rule sees two smooth halves
-        left = integrate.quad(integrand, -1.0, 0.0, epsabs=QUAD_ABS_TOL, epsrel=0.0, limit=200)
-        right = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, epsrel=0.0, limit=200)
-        value, err = left[0] + right[0], left[1] + right[1]
-    else:
-        value, err = integrate.quad(
-            integrand, -np.inf, np.inf, epsabs=QUAD_ABS_TOL, epsrel=0.0, limit=400
-        )
-    if not np.isfinite(value) or err > 1e-12:
-        raise QuadratureFailure(
-            f"moment quadrature did not converge (kernel={kind.value}, "
-            f"order={ell}, power={power}, error estimate={err:g})"
-        )
-    return value
 
 
 _cache: dict[tuple[KernelKind, int, int], tuple[float, ...]] = {}
@@ -121,10 +114,10 @@ _cache_lock = threading.Lock()
 
 
 def compute_moments(kind: KernelKind, max_order: int, power: int = 1) -> tuple[float, ...]:
-    """Moments of K^power up to max_order, closed form where available.
+    """Moments of K^power up to max_order, in closed form.
 
     Returns a tuple whose entry ell is the integral of t^ell K(t)^power dt,
-    for ell = 0 .. max_order. Absolute accuracy is 1e-12 or better.
+    for ell = 0 .. max_order, each within a few ulps of the exact value.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -134,9 +127,6 @@ def compute_moments(kind: KernelKind, max_order: int, power: int = 1) -> tuple[f
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    if kind in _POLY_FAMILY:
-        values = tuple(_poly_moment_exact(kind, ell, power) for ell in range(max_order + 1))
-    else:
-        values = tuple(_quad_moment(kind, ell, power) for ell in range(max_order + 1))
+    values = tuple(_moment(kind, ell, power) for ell in range(max_order + 1))
     with _cache_lock:
         return _cache.setdefault(key, values)

@@ -331,17 +331,13 @@ class SimulationSpec:
     p: int = 1
     kernel: KernelKind = KernelKind.EPANECHNIKOV
     h: float | None = None
-    cv_grid: tuple | None = None
     seed: int = 0
     trim: bool = True
     use_true_mean_reference: bool = False
-    rcond_min: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-        if self.cv_grid is not None:
-            object.__setattr__(self, "cv_grid", tuple(float(g) for g in self.cv_grid))
         if not self.estimators:
             raise UserInputError("at least one estimator tag is required")
         if not all(isinstance(e, Estimator) for e in self.estimators):
@@ -362,7 +358,7 @@ class SimulationSpec:
             raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.h}")
 
     def base_config(self, h: float) -> FitConfig:
-        return FitConfig(p=self.p, h=h, kernel=self.kernel, rcond_min=self.rcond_min)
+        return FitConfig(p=self.p, h=h, kernel=self.kernel)
 
 
 @dataclass(frozen=True)
@@ -402,11 +398,8 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
         data = individual if est is Estimator.INDIVIDUAL else pooled
         try:
             if spec.h is None:
-                trace = select_bandwidth(
-                    data, est, spec.base_config(1.0),
-                    grid=spec.cv_grid, trim=spec.trim,
-                )
-                h = trace.chosen_h
+                h = select_bandwidth(
+                    data, est, spec.base_config(1.0), trim=spec.trim).chosen_h
             else:
                 h = spec.h
             bandwidths[est] = h
@@ -431,18 +424,22 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
     )
 
 
+def _map(fun: Callable, items, jobs: int) -> list:
+    """fun over items in order, serially or over jobs worker processes."""
+    if jobs <= 1:
+        return [fun(item) for item in items]
+    chunk = max(1, len(items) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fun, items, chunksize=chunk))
+
+
 def run_monte_carlo(spec: SimulationSpec, jobs: int = 1) -> list[ReplicationRecord]:
     """All replications of a study, optionally fanned out over processes.
 
     Output is identical for any jobs value: each replication owns a seed
     stream derived from (master seed, replication index) alone.
     """
-    indices = range(spec.replications)
-    if jobs <= 1:
-        return [_replicate(spec, i) for i in indices]
-    chunk = max(1, spec.replications // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(partial(_replicate, spec), indices, chunksize=chunk))
+    return _map(partial(_replicate, spec), range(spec.replications), jobs)
 
 
 def select_quartile_realizations(records, tag: Estimator) -> tuple[int, int, int]:
@@ -490,12 +487,10 @@ class BootstrapBands:
 
 
 def _resample_pools(data: PooledDataset, rows: np.ndarray) -> PooledDataset:
-    starts = data.offsets[rows]
-    sizes = data.sizes[rows]
-    x_flat = np.concatenate(
-        [data.x_flat[s:s + c] for s, c in zip(starts, sizes)])
+    members = data.member_table[rows]
+    x_flat = data.x_flat[members[members >= 0]]
     design = Design.EXTERNAL if data.design is Design.HOMOGENEOUS else data.design
-    return PooledDataset(z=data.z[rows], sizes=sizes, x_flat=x_flat, design=design)
+    return PooledDataset(z=data.z[rows], sizes=data.sizes[rows], x_flat=x_flat, design=design)
 
 
 def _bootstrap_one(
@@ -544,13 +539,7 @@ def bootstrap_curves(
     if grid.ndim != 1 or grid.size == 0:
         raise UserInputError("the evaluation grid must be a nonempty 1-d sequence")
     index_rows = rng.integers(0, data.n_pools, size=(n_resamples, data.n_pools))
-    worker = partial(_bootstrap_one, data, tag, cfg, grid)
-    if jobs <= 1:
-        results = [worker(row) for row in index_rows]
-    else:
-        chunk = max(1, n_resamples // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, index_rows, chunksize=chunk))
+    results = _map(partial(_bootstrap_one, data, tag, cfg, grid), index_rows, jobs)
     values = np.stack([v for v, _ in results])
     failed = np.stack([f for _, f in results])
     mask = failed.any(axis=0)

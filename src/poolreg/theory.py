@@ -1,16 +1,18 @@
 """Asymptotic bias and variance summaries for the pooled-data estimators.
 
-This module evaluates, numerically, the dominating terms of each
-estimator's error expansion, given a data-generating context (mean
-function, covariate density, noise variance). The results serve as
-analytic oracles for Monte Carlo tests and as the backing of the CLI
-theory report.
+This module evaluates the dominating terms of each estimator's error
+expansion, given a data-generating context (mean function, covariate
+density, noise variance). The results serve as analytic oracles for Monte
+Carlo tests and as the backing of the CLI theory report.
 
 Conventions shared with the estimator module: beta_ell denotes
 m^(ell)(x)/ell!, f is the covariate density, and kernel moments mu_ell
-(plain) and nu_ell (squared kernel) come from the kernels module. Pooled
-powers of a kernel (for the product-weighted estimator on homogeneous
-data) replace every moment by its K^c counterpart.
+(plain) and nu_ell (squared kernel) come in closed form from the kernels
+module, for every kernel and order. Pooled powers of a kernel (for the
+product-weighted estimator on homogeneous data) replace every moment by
+its K^c counterpart. One local expansion gives the product-weighted bias
+under random pools of size c and, at c = 1, the bias of every summary of
+individual-data form below.
 
 What is reported per estimator:
 
@@ -22,9 +24,9 @@ What is reported per estimator:
     its first correction; variance is an order tag in which the bandwidth
     enters with power equal to the pool size.
   * marginal integration, random pooling: bias identical to the
-    individual-data estimator by construction (the same code path is
-    used); variance carries the pooling inflation term driven by the
-    average noise variance.
+    individual-data estimator (the theory gives the same expansion);
+    variance carries the pooling inflation term driven by the average
+    noise variance.
   * average and product weighted, homogeneous pooling: bias and variance
     of individual-data form, with plain or pooled-power kernel moments
     respectively; only compact kernels are accepted because the pooled
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,7 +73,6 @@ __all__ = [
     "marginal_random_summary",
     "individual_summary",
     "homogeneous_summary",
-    "pseudo_response_mean_shift",
 ]
 
 
@@ -216,9 +217,6 @@ class TheoryContext:
             self._cache["s2bar"] = self.expect(self.sigma2)
         return self._cache["s2bar"]
 
-    def with_quad_tol(self, tol: float) -> "TheoryContext":
-        return replace(self, quad_tol=tol)
-
 
 def covariate_moments(ctx: TheoryContext, x: float, ell_max: int) -> np.ndarray:
     """delta_ell(x) = E (X - x)^ell for ell = 0 .. ell_max.
@@ -302,9 +300,6 @@ class MomentMatrices:
     mu: tuple[float, ...]
     nu: tuple[float, ...]
 
-    def moment(self, ell: int) -> float:
-        return self.mu[ell]
-
     def mu_star(self, ell: int) -> np.ndarray:
         return np.array(self.mu[ell:ell + self.p + 1])
 
@@ -380,7 +375,7 @@ def average_random_summary(
     f = ctx.f(x)
     f1 = ctx.f_deriv(x, 1)
     f2 = ctx.f_deriv(x, 2)
-    mu2 = mm.moment(2)
+    mu2 = mm.mu[2]
     e1 = _basis(p, 0)
 
     m0 = (
@@ -447,7 +442,7 @@ def average_random_bias_closed_p0(
     h^2 curvature cross-term that this short form drops.
     """
     tc = pool_constants(pool_sizes)
-    mu2 = moment_matrices(kernel, 0).moment(2)
+    mu2 = moment_matrices(kernel, 0).mu[2]
     f = ctx.f(x)
     nw = h**2 * mu2 * (ctx.beta(x, 1) * ctx.f_deriv(x, 1) / f + ctx.beta(x, 2))
     return tc[(1, 1)] * (ctx.mean_expectation - ctx.m(x)) + tc[1] * nw
@@ -468,23 +463,7 @@ def product_random_bias(
     """
     if c < 1:
         raise UserInputError(f"pool size must be at least 1, got {c}")
-    mm = moment_matrices(kernel, p)
-    f = ctx.f(x)
-    f1 = ctx.f_deriv(x, 1)
-    bp1 = ctx.beta(x, p + 1)
-    bp2 = ctx.beta(x, p + 2)
-    mu0s = mm.mu_star(0)
-    a = mm.mu_tilde(0) + (c - 1) * np.outer(mu0s, mu0s)
-    b1 = mm.mu_star(p + 1) + (c - 1) * mm.moment(p + 1) * mu0s
-    b2 = mm.mu_star(p + 2) + (c - 1) * mm.moment(p + 2) * mu0s
-    mid = mm.mu_tilde(1) + (c - 1) * (
-        np.outer(mu0s, mm.mu_star(1)) + np.outer(mm.mu_star(1), mu0s)
-    )
-    a_inv_b1 = _solve(a, b1, "the product-weight moment matrix")
-    lead = bp1 * a_inv_b1
-    corr = (bp2 * f + bp1 * f1) * _solve(a, b2, "the product-weight moment matrix") \
-        - bp1 * f1 * _solve(a, mid @ a_inv_b1, "the product-weight moment matrix")
-    bias = h ** (p + 1) * float(lead[0] + (h / f) * corr[0])
+    bias = _local_bias(ctx, x, p, h, moment_matrices(kernel, p), c)
     return AsymptoticSummary(
         estimator=Estimator.PRODUCT, design=Design.RANDOM, x=x, p=p, h=h,
         persistent_bias=0.0, leading_bias=bias,
@@ -493,34 +472,55 @@ def product_random_bias(
     )
 
 
-def _individual_style_bias(ctx: TheoryContext, x: float, p: int, h: float, mm: MomentMatrices) -> float:
-    """Leading bias of a local polynomial fit on unit-level responses.
+def _local_bias(
+    ctx: TheoryContext, x: float, p: int, h: float, mm: MomentMatrices, c: int = 1,
+) -> float:
+    """Leading bias of a local polynomial fit, with its first correction in h.
 
-    Shared verbatim by the individual-data estimator, the marginal
-    integration estimator under random pooling, and both homogeneous
-    summaries (the latter with pooled-power moments), because the theory
-    gives them literally the same expansion.
+    c is the common pool size of the product-weighted estimator under
+    random pooling; every (c - 1) term vanishes at c = 1, which leaves the
+    classical expansion on unit-level responses with the moments of mm.
     """
+    what = "the kernel moment matrix" if c == 1 else "the product-weight moment matrix"
     f = ctx.f(x)
     f1 = ctx.f_deriv(x, 1)
     bp1 = ctx.beta(x, p + 1)
     bp2 = ctx.beta(x, p + 2)
-    mt0 = mm.mu_tilde(0)
-    lead = bp1 * _solve(mt0, mm.mu_star(p + 1), "the kernel moment matrix")
-    corr = (bp2 * f + bp1 * f1) * _solve(mt0, mm.mu_star(p + 2), "the kernel moment matrix") \
-        - bp1 * f1 * _solve(
-            mt0, mm.mu_tilde(1) @ _solve(mt0, mm.mu_star(p + 1), "the kernel moment matrix"),
-            "the kernel moment matrix",
-        )
+    mu0s = mm.mu_star(0)
+    a = mm.mu_tilde(0) + (c - 1) * np.outer(mu0s, mu0s)
+    b1 = mm.mu_star(p + 1) + (c - 1) * mm.mu[p + 1] * mu0s
+    b2 = mm.mu_star(p + 2) + (c - 1) * mm.mu[p + 2] * mu0s
+    mid = mm.mu_tilde(1) + (c - 1) * (
+        np.outer(mu0s, mm.mu_star(1)) + np.outer(mm.mu_star(1), mu0s)
+    )
+    a_inv_b1 = _solve(a, b1, what)
+    lead = bp1 * a_inv_b1
+    corr = (bp2 * f + bp1 * f1) * _solve(a, b2, what) \
+        - bp1 * f1 * _solve(a, mid @ a_inv_b1, what)
     return h ** (p + 1) * float(lead[0] + (h / f) * corr[0])
 
 
-def _variance_sandwich(mm: MomentMatrices) -> float:
-    """First diagonal element of (moment matrix)^-1 (squared-kernel matrix) (moment matrix)^-1."""
-    mt0 = mm.mu_tilde(0)
-    e1 = _basis(mm.p, 0)
-    left = _solve(mt0, e1, "the kernel moment matrix")
-    return float(left @ mm.nu_tilde0() @ left)
+def _unit_style_summary(
+    ctx: TheoryContext, estimator: Estimator, design: Design, x: float, p: int,
+    h: float, n_units: int, kernel: KernelKind, power: int = 1,
+    extra_variance: float = 0.0, notes: tuple[str, ...] = (),
+) -> AsymptoticSummary:
+    """Bias and variance of individual-data form, with moments of K^power.
+
+    The variance is the symmetric sandwich (first diagonal element of
+    moment matrix^-1, squared-kernel matrix, moment matrix^-1) times
+    (sigma^2(x) + extra_variance) / (N h f(x)).
+    """
+    mm = moment_matrices(kernel, p, power=power)
+    bias = _local_bias(ctx, x, p, h, mm)
+    left = _solve(mm.mu_tilde(0), _basis(p, 0), "the kernel moment matrix")
+    sandwich = float(left @ mm.nu_tilde0() @ left)
+    variance = (ctx.sigma2_at(x) + extra_variance) / (n_units * h * ctx.f(x)) * sandwich
+    return AsymptoticSummary(
+        estimator=estimator, design=design, x=x, p=p, h=h,
+        persistent_bias=0.0, leading_bias=bias,
+        variance=variance, variance_order="1/(N h)", notes=notes,
+    )
 
 
 def individual_summary(
@@ -532,14 +532,8 @@ def individual_summary(
     kernel: KernelKind = KernelKind.EPANECHNIKOV,
 ) -> AsymptoticSummary:
     """Classical local polynomial bias and variance on individual data."""
-    mm = moment_matrices(kernel, p)
-    bias = _individual_style_bias(ctx, x, p, h, mm)
-    variance = ctx.sigma2_at(x) / (n_units * h * ctx.f(x)) * _variance_sandwich(mm)
-    return AsymptoticSummary(
-        estimator=Estimator.INDIVIDUAL, design=Design.RANDOM, x=x, p=p, h=h,
-        persistent_bias=0.0, leading_bias=bias,
-        variance=variance, variance_order="1/(N h)",
-    )
+    return _unit_style_summary(
+        ctx, Estimator.INDIVIDUAL, Design.RANDOM, x, p, h, n_units, kernel)
 
 
 def marginal_random_summary(
@@ -553,24 +547,19 @@ def marginal_random_summary(
 ) -> AsymptoticSummary:
     """Bias and variance of the marginal-integration estimator, random pools.
 
-    Bias is computed by the same code as the individual estimator (the
-    expansions coincide for every pool size). The variance picks up an
-    inflation proportional to the average noise variance and the average
-    excess pool membership; with equal pools of size c and a constant
-    noise variance the inflation ratio over individual data is exactly c.
+    The bias is the individual estimator's (the expansions coincide for
+    every pool size). The variance picks up an inflation proportional to
+    the average noise variance and the average excess pool membership;
+    with equal pools of size c and a constant noise variance the inflation
+    ratio over individual data is exactly c.
     """
     sizes = np.asarray(pool_sizes, dtype=float)
     if sizes.size == 0 or np.any(sizes < 1):
         raise UserInputError("pool sizes must be a nonempty sequence of integers >= 1")
-    mm = moment_matrices(kernel, p)
-    bias = _individual_style_bias(ctx, x, p, h, mm)
     inflation = ctx.sigma2_mean * float(np.sum(sizes * (sizes - 1.0))) / sizes.sum()
-    variance = (ctx.sigma2_at(x) + inflation) / (n_units * h * ctx.f(x)) * _variance_sandwich(mm)
-    return AsymptoticSummary(
-        estimator=Estimator.MARGINAL, design=Design.RANDOM, x=x, p=p, h=h,
-        persistent_bias=0.0, leading_bias=bias,
-        variance=variance, variance_order="1/(N h)",
-    )
+    return _unit_style_summary(
+        ctx, Estimator.MARGINAL, Design.RANDOM, x, p, h, n_units, kernel,
+        extra_variance=inflation)
 
 
 def homogeneous_summary(
@@ -602,22 +591,7 @@ def homogeneous_summary(
         )
     if c < 1:
         raise UserInputError(f"pool size must be at least 1, got {c}")
-    power = 1 if tag is Estimator.AVERAGE else c
-    mm = moment_matrices(kernel, p, power=power)
-    bias = _individual_style_bias(ctx, x, p, h, mm)
-    variance = ctx.sigma2_at(x) / (n_units * h * ctx.f(x)) * _variance_sandwich(mm)
-    return AsymptoticSummary(
-        estimator=tag, design=Design.HOMOGENEOUS, x=x, p=p, h=h,
-        persistent_bias=0.0, leading_bias=bias,
-        variance=variance, variance_order="1/(N h)",
-        notes=("variance uses the symmetric inverse-sandwich form",),
-    )
-
-
-def pseudo_response_mean_shift(ctx: TheoryContext, x: float, c: int, n_units: int) -> float:
-    """Finite-sample conditional mean shift of a pseudo response.
-
-    Estimating the marginal mean from the same data leaves each pseudo
-    response with conditional mean m(x) + {mu - m(x)} (c - 1) / N.
-    """
-    return (ctx.mean_expectation - ctx.m(x)) * (c - 1) / n_units
+    return _unit_style_summary(
+        ctx, tag, Design.HOMOGENEOUS, x, p, h, n_units, kernel,
+        power=1 if tag is Estimator.AVERAGE else c,
+        notes=("variance uses the symmetric inverse-sandwich form",))

@@ -32,7 +32,6 @@ from poolreg.estimators import (
     fit_product_weighted,
 )
 from poolreg.kernels import KernelKind, compute_moments, kernel_eval
-from poolreg.kernels import _quad_moment
 from poolreg.simulation import (
     SimulationSpec,
     get_dgp,
@@ -300,14 +299,14 @@ def test_c07_theory_identities(accept):
            f"constant dual path {worst_p0:.1e} <= 1e-8, {elapsed:.1f}s < 5s")
 
 
-def test_c08_kernel_moments(accept):
+def test_c08_kernel_moments(accept, quad_moment):
     start = time.perf_counter()
     plain = compute_moments(KernelKind.EPANECHNIKOV, 4)
     squared = compute_moments(KernelKind.EPANECHNIKOV, 0, power=2)
     odd = max(abs(plain[1]), abs(plain[3]))
     worst_dual = max(
         abs(compute_moments(KernelKind.EPANECHNIKOV, ell)[ell]
-            - _quad_moment(KernelKind.EPANECHNIKOV, ell, 1))
+            - quad_moment(KernelKind.EPANECHNIKOV, ell, 1))
         for ell in range(5)
     )
     elapsed = time.perf_counter() - start

@@ -150,7 +150,7 @@ class TestPseudoData:
         pseudo = build_pseudo_data(pooled)
         lhs = float(pooled.sizes @ pseudo.r) / pooled.n_units
         # with equal sizes, c_j R_j averages back to mu_hat
-        assert abs(lhs - (2 * pseudo.mu_hat - pseudo.mu_hat * 1)) <= 1e-12 or True
+        assert abs(lhs - pseudo.mu_hat) <= 1e-12
         assert abs(float(np.mean(pseudo.r)) - pseudo.mu_hat) <= 1e-12
 
 

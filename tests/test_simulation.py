@@ -364,6 +364,19 @@ class TestBootstrap:
         assert np.array_equal(resample.z, [2.0, 2.0])
         assert np.array_equal(resample.x_flat, [0.1, 0.7, 0.1, 0.7])
 
+    def test_resample_gathers_members_in_pool_order(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            sizes = rng.integers(1, 6, size=int(rng.integers(1, 20)))
+            data = toy_pooled(rng.normal(size=sizes.size), sizes,
+                              rng.normal(size=int(sizes.sum())))
+            rows = rng.integers(0, sizes.size, size=sizes.size)
+            resample = _resample_pools(data, rows)
+            expected = np.concatenate(
+                [data.x_flat[s:s + c] for s, c in zip(data.offsets[rows], sizes[rows])])
+            assert np.array_equal(resample.x_flat, expected)
+            assert np.array_equal(resample.sizes, sizes[rows])
+
     def test_input_validation(self):
         data = toy_pooled([1.0, 2.0], [1, 1], [0.0, 0.5])
         cfg = FitConfig(p=0, h=1.0)

@@ -5,6 +5,7 @@ standard normal) where every moment integral has a closed form.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from poolreg.theory import (
     moment_matrices,
     pool_constants,
     product_random_bias,
-    pseudo_response_mean_shift,
     remainder_moments,
 )
 
@@ -316,7 +316,7 @@ class TestAverageWeightedRandom:
         ctx = gaussian_ctx(*cubic_mean())
         base = average_random_summary(ctx, 0.7, 1, 0.2, [1, 2, 3])
         finer = average_random_summary(
-            ctx.with_quad_tol(ctx.quad_tol / 2.0), 0.7, 1, 0.2, [1, 2, 3])
+            replace(ctx, quad_tol=ctx.quad_tol / 2.0), 0.7, 1, 0.2, [1, 2, 3])
         rel = abs(finer.leading_bias - base.leading_bias) / abs(base.leading_bias)
         assert rel < 1e-7
         rel_p = abs(finer.persistent_bias - base.persistent_bias) / abs(base.persistent_bias)
@@ -455,14 +455,3 @@ class TestHomogeneousDesign:
             homogeneous_summary(ctx, Estimator.INDIVIDUAL, 0.0, 1, 0.1, 100, 2)
         with pytest.raises(UserInputError):
             homogeneous_summary(ctx, Estimator.AVERAGE, 0.0, 1, 0.1, 100, 0)
-
-
-class TestPseudoResponseMeanShift:
-    def test_worked_example(self):
-        ctx = uniform_ctx(*square_mean())
-        shift = pseudo_response_mean_shift(ctx, 0.0, 2, 100)
-        assert abs(shift - (1.0 / 3.0) / 100.0) < 1e-9
-
-    def test_singleton_pools_shift_nothing(self):
-        ctx = uniform_ctx(*square_mean())
-        assert pseudo_response_mean_shift(ctx, 0.4, 1, 50) == 0.0
