@@ -11,147 +11,23 @@ pool-resampling bootstrap bands. The ``poolreg`` command line exposes
 the same functionality as CSV-emitting subcommands.
 """
 
-from .bandwidth import CvTrace, default_h_grid, select_bandwidth, trim_bounds_for
-from .data import (
-    Design,
-    IndividualDataset,
-    PooledDataset,
-    pool_homogeneous,
-    pool_random,
-    read_individual_csv,
-    read_pooled_csv,
-    write_individual_csv,
-    write_pooled_csv,
-)
-from .errors import (
-    DivergentMoment,
-    EmptyDataset,
-    IncompleteCurve,
-    NoValidBandwidth,
-    NonFiniteValue,
-    NonPositiveBandwidth,
-    NumericalFailure,
-    OrphanPool,
-    PoolregError,
-    SingularLocalSystem,
-    SingularMomentMatrix,
-    TooFewRecords,
-    UnsupportedKernel,
-    UserInputError,
-)
-from .estimators import (
-    CurveEstimate,
-    Estimator,
-    FitConfig,
-    LocalFit,
-    PseudoData,
-    build_pseudo_data,
-    estimate_curve,
-    fit_average_weighted,
-    fit_individual,
-    fit_marginal_integration,
-    fit_product_weighted,
-)
-from .kernels import KernelKind, compute_moments, kernel_eval
-from .simulation import (
-    DGP_REGISTRY,
-    BootstrapBands,
-    Dgp,
-    ReplicationRecord,
-    SimulationSpec,
-    bootstrap_curves,
-    dgp_mean,
-    get_dgp,
-    ise,
-    run_monte_carlo,
-    sample_dgp,
-    select_quartile_realizations,
-    theory_context,
-)
-from .theory import (
-    AsymptoticSummary,
-    PoolConstants,
-    TheoryContext,
-    average_random_bias_closed_p0,
-    average_random_summary,
-    covariate_moments,
-    homogeneous_summary,
-    individual_summary,
-    marginal_random_summary,
-    moment_matrices,
-    pool_constants,
-    product_random_bias,
-    remainder_moments,
-)
+from . import bandwidth, data, errors, estimators, kernels, simulation, theory
+from .bandwidth import *
+from .data import *
+from .errors import *
+from .estimators import *
+from .kernels import *
+from .simulation import *
+from .theory import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticSummary",
-    "BootstrapBands",
-    "CurveEstimate",
-    "CvTrace",
-    "DGP_REGISTRY",
-    "Design",
-    "Dgp",
-    "DivergentMoment",
-    "EmptyDataset",
-    "Estimator",
-    "FitConfig",
-    "IncompleteCurve",
-    "IndividualDataset",
-    "KernelKind",
-    "LocalFit",
-    "NoValidBandwidth",
-    "NonFiniteValue",
-    "NonPositiveBandwidth",
-    "NumericalFailure",
-    "OrphanPool",
-    "PoolConstants",
-    "PooledDataset",
-    "PoolregError",
-    "PseudoData",
-    "ReplicationRecord",
-    "SimulationSpec",
-    "SingularLocalSystem",
-    "SingularMomentMatrix",
-    "TheoryContext",
-    "TooFewRecords",
-    "UnsupportedKernel",
-    "UserInputError",
-    "average_random_bias_closed_p0",
-    "average_random_summary",
-    "bootstrap_curves",
-    "build_pseudo_data",
-    "compute_moments",
-    "covariate_moments",
-    "default_h_grid",
-    "dgp_mean",
-    "estimate_curve",
-    "fit_average_weighted",
-    "fit_individual",
-    "fit_marginal_integration",
-    "fit_product_weighted",
-    "get_dgp",
-    "homogeneous_summary",
-    "individual_summary",
-    "ise",
-    "kernel_eval",
-    "marginal_random_summary",
-    "moment_matrices",
-    "pool_constants",
-    "pool_homogeneous",
-    "pool_random",
-    "product_random_bias",
-    "read_individual_csv",
-    "read_pooled_csv",
-    "remainder_moments",
-    "run_monte_carlo",
-    "sample_dgp",
-    "select_bandwidth",
-    "select_quartile_realizations",
-    "theory_context",
-    "trim_bounds_for",
-    "write_individual_csv",
-    "write_pooled_csv",
+    *bandwidth.__all__,
+    *data.__all__,
+    *errors.__all__,
+    *estimators.__all__,
+    *kernels.__all__,
+    *simulation.__all__,
+    *theory.__all__,
 ]

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import EmptyDataset, NonFiniteValue, OrphanPool, UserInputError
 __all__ = [
     "Design",
     "IndividualDataset",
-    "Pool",
     "PooledDataset",
     "pool_random",
     "pool_homogeneous",
@@ -69,19 +68,6 @@ class IndividualDataset:
 
     @property
     def n_units(self) -> int:
-        return self.x.size
-
-
-@dataclass(frozen=True)
-class Pool:
-    """One pool: its id, averaged response, and member covariates."""
-
-    pool_id: str
-    z: float
-    x: np.ndarray
-
-    @property
-    def size(self) -> int:
         return self.x.size
 
 
@@ -152,21 +138,6 @@ class PooledDataset:
     @property
     def n_units(self) -> int:
         return self.x_flat.size
-
-    @property
-    def equal_size(self) -> int | None:
-        """The common pool size, or None when pools differ."""
-        c = int(self.sizes[0])
-        return c if np.all(self.sizes == c) else None
-
-    @property
-    def max_size(self) -> int:
-        return int(self.sizes.max())
-
-    def pools(self) -> Iterator[Pool]:
-        off = self.offsets
-        for j in range(self.n_pools):
-            yield Pool(self.ids[j], float(self.z[j]), self.x_flat[off[j]:off[j + 1]])
 
 
 def _member_table(sizes: np.ndarray) -> np.ndarray:

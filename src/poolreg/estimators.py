@@ -20,9 +20,10 @@ alike. A row builder gives the design rows D = (1, D_1, .., D_p) and weights
 w: unit rows t^ell with t = (X - x)/h and weights K_h(X - x), or pool rows
 holding the member averages of t^ell with the average or the product of the
 member weights. The engine forms the normal sums A = sum_r w D D^T and
-b = sum_r w D y as plain row sums, subtracts the rows a cross-validation fold
-leaves out (one record, one pool, or a whole pool's member rows; computed at
-the point from the data, with the same formula), and solves A beta = b.
+b = sum_r w D y as plain row sums and solves A beta = b. A cross-validation
+fold leaves rows out (one record, one pool, or a whole pool's member rows) by
+giving them weight zero before the sums are formed, so a fold fit is the
+same computation as a plain fit on the data without those rows.
 
 The sums only visit rows inside the kernel window. The engine sorts the
 evaluation points and the member covariates once per call and walks the
@@ -300,10 +301,9 @@ def _local_fits(
 
     drop, when given, holds per evaluation point the indices of the rows left
     out of that point's fit, padded with -1: records for the individual and
-    marginal estimators, pools for the other two. Their contribution is
-    computed at the point and subtracted from the normal sums. One row per
-    point gives leave-one-out and leave-one-pool-out folds, a pool's member
-    rows give the whole-pool drop.
+    marginal estimators, pools for the other two. Those rows get weight zero
+    in that point's normal sums. One row per point gives leave-one-out and
+    leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
     """
     if estimator is Estimator.INDIVIDUAL:
         if not isinstance(data, IndividualDataset):
@@ -343,6 +343,12 @@ def _local_fits(
         def window(lo, hi):
             return order[None, lo:hi]
 
+    if drop is not None:
+        # column of each row (one per response) in the current block's
+        # window, -1 outside it; the extra last entry sends the -1 padding
+        # of drop to -1 as well
+        column = np.full(resp.size + 1, -1)
+
     q = cfg.p + 1
     A = np.empty((points.size, q, q))
     b = np.empty((points.size, q))
@@ -361,13 +367,18 @@ def _local_fits(
             lo, hi = np.searchsorted(x_sorted, (first - reach, last + reach))
         else:
             lo, hi = 0, x.size
-        A[block], b[block] = _normal_sums(*design(window(lo, hi), grid))
-    if drop is not None:
-        powers, w, out = design(drop, points[:, None])
-        np.copyto(w, 0.0, where=drop < 0)
-        A_out, b_out = _normal_sums(powers, w, out)
-        A -= A_out
-        b -= b_out
+        rows = window(lo, hi)
+        powers, w, y = design(rows, grid)
+        if drop is not None:
+            # dropped rows outside the window already weigh zero
+            column[rows[0]] = np.arange(rows.shape[1])
+            cols = column[drop[block]]
+            column[rows[0]] = -1
+            hit = cols >= 0
+            w[np.nonzero(hit)[0], cols[hit]] = 0.0
+        A[block], b[block] = _normal_sums(powers, w, y)
+        # free this block's rows before the next block builds its own
+        del powers, w, y
     return _solve(A, b, cfg)
 
 

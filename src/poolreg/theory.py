@@ -68,7 +68,6 @@ __all__ = [
     "covariate_moments",
     "remainder_moments",
     "average_random_summary",
-    "average_random_bias_closed_p0",
     "product_random_bias",
     "marginal_random_summary",
     "individual_summary",
@@ -424,28 +423,6 @@ def average_random_summary(
         variance=None, variance_order="1/(J h)",
         notes=("bandwidth-free bias term persists unless all pools have size 1",),
     )
-
-
-def average_random_bias_closed_p0(
-    ctx: TheoryContext,
-    x: float,
-    h: float,
-    pool_sizes,
-    kernel: KernelKind = KernelKind.EPANECHNIKOV,
-) -> float:
-    """Local constant special case of the average-weighted dominating bias.
-
-    Independent closed form used to cross-check the general expansion:
-    a size-mix multiple of E{m(X) - m(x)} plus a size-mix multiple of the
-    classical local constant bias. The two routes coincide wherever the
-    density has zero second derivative at x; elsewhere they differ in an
-    h^2 curvature cross-term that this short form drops.
-    """
-    tc = pool_constants(pool_sizes)
-    mu2 = moment_matrices(kernel, 0).mu[2]
-    f = ctx.f(x)
-    nw = h**2 * mu2 * (ctx.beta(x, 1) * ctx.f_deriv(x, 1) / f + ctx.beta(x, 2))
-    return tc[(1, 1)] * (ctx.mean_expectation - ctx.m(x)) + tc[1] * nw
 
 
 def product_random_bias(

@@ -4,7 +4,9 @@ The acceptance suite reports one PASS/FAIL line per criterion. Those lines
 are collected here and echoed in a terminal section at the end of the run,
 so they stay visible even when everything passes and output capture would
 otherwise swallow them. The quad_moment fixture is the quadrature reference
-that the closed-form kernel moments are checked against.
+that the closed-form kernel moments are checked against, and the
+average_random_bias_closed_p0 fixture an independent short form of the
+average-weighted bias that the general expansion is checked against.
 """
 
 import os
@@ -47,6 +49,28 @@ def quad_moment():
         return left[0] + right[0]
 
     return moment
+
+
+@pytest.fixture(scope="session")
+def average_random_bias_closed_p0():
+    """Local constant special case of the average-weighted dominating bias.
+
+    Epanechnikov kernel. A size-mix multiple of E{m(X) - m(x)} plus a size-mix multiple of the
+    classical local constant bias. It coincides with the general expansion
+    wherever the density has zero second derivative at x; elsewhere the two
+    differ in an h^2 curvature cross-term that this short form drops.
+    """
+    from poolreg.kernels import KernelKind
+    from poolreg.theory import moment_matrices, pool_constants
+
+    def bias(ctx, x, h, pool_sizes):
+        tc = pool_constants(pool_sizes)
+        mu2 = moment_matrices(KernelKind.EPANECHNIKOV, 0).mu[2]
+        f = ctx.f(x)
+        nw = h**2 * mu2 * (ctx.beta(x, 1) * ctx.f_deriv(x, 1) / f + ctx.beta(x, 2))
+        return tc[(1, 1)] * (ctx.mean_expectation - ctx.m(x)) + tc[1] * nw
+
+    return bias
 
 
 def pytest_configure(config):

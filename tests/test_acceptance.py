@@ -42,7 +42,6 @@ from poolreg.simulation import (
 )
 from poolreg.bandwidth import select_bandwidth
 from poolreg.theory import (
-    average_random_bias_closed_p0,
     average_random_summary,
     homogeneous_summary,
     individual_summary,
@@ -257,7 +256,7 @@ def test_c06_homogeneous_efficiency(accept):
            f"product {r_prod:.3f} <= 1.5, {elapsed:.0f}s < 5min")
 
 
-def test_c07_theory_identities(accept):
+def test_c07_theory_identities(accept, average_random_bias_closed_p0):
     start = time.perf_counter()
     ctx = theory_context(get_dgp("quadratic"))
     grid = np.linspace(-0.8, 0.8, 21)
@@ -398,11 +397,12 @@ def test_c10_solver_oracle(accept):
 
         def resid_pooled(beta, weight):
             rows = []
-            for pool in pooled.pools():
-                t = pool.x - x0
+            off = pooled.offsets
+            for j in range(pooled.n_pools):
+                t = pooled.x_flat[off[j]:off[j + 1]] - x0
                 k = kh(cfg, t)
                 w = k.mean() if weight == "average" else k.prod()
-                rows.append(np.sqrt(w) * (pool.z - poly_at(beta, t).mean()))
+                rows.append(np.sqrt(w) * (pooled.z[j] - poly_at(beta, t).mean()))
             return np.asarray(rows)
 
         def resid_marginal(beta):

@@ -5,7 +5,12 @@ import pytest
 
 from poolreg.bandwidth import CvTrace, default_h_grid, select_bandwidth, trim_bounds_for
 from poolreg.data import Design, IndividualDataset, PooledDataset, pool_random
-from poolreg.errors import NoValidBandwidth, TooFewRecords, UserInputError
+from poolreg.errors import (
+    NoValidBandwidth,
+    SingularLocalSystem,
+    TooFewRecords,
+    UserInputError,
+)
 from poolreg.estimators import (
     Estimator,
     FitConfig,
@@ -13,6 +18,8 @@ from poolreg.estimators import (
     fit_average_weighted,
     fit_individual,
 )
+from poolreg.kernels import KernelKind
+from poolreg.simulation import get_dgp, sample_dgp
 
 BASE = FitConfig(p=0, h=1.0)
 
@@ -319,6 +326,41 @@ class TestDefaultGrid:
     def test_single_point_rejected(self):
         with pytest.raises(TooFewRecords):
             default_h_grid([1.0])
+
+
+def nan_if_singular(oracle, *args):
+    """The oracle's criterion, or NaN when one of its refits is singular."""
+    try:
+        return oracle(*args)
+    except SingularLocalSystem:
+        return np.nan
+
+
+class TestExactFolds:
+    """Gaussian folds whose left-out rows carry nearly all of a point's weight."""
+
+    def test_leave_one_out_matches_refits(self):
+        data = sample_dgp(get_dgp("d2"), 300, np.random.default_rng(3))
+        cfg = FitConfig(p=1, h=1.0, kernel=KernelKind.GAUSSIAN)
+        grid = default_h_grid(data.x)[:3]
+        trace = select_bandwidth(data, Estimator.INDIVIDUAL, cfg, grid=grid, trim=True)
+        # with unit pools the pseudo responses are the responses themselves
+        units = PooledDataset(z=data.y, sizes=np.ones(data.n_units, dtype=int),
+                              x_flat=data.x, design=Design.EXTERNAL)
+        want = [nan_if_singular(prss_oracle, units, cfg, h, trace.trim_bounds) for h in grid]
+        np.testing.assert_allclose(trace.criterion, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("tag, seed, n, c", [
+        (Estimator.AVERAGE, 0, 18, 3), (Estimator.PRODUCT, 2, 12, 2),
+    ])
+    def test_leave_pool_out_matches_refits(self, tag, seed, n, c):
+        pooled = random_pooled(seed=seed, n=n, c=c)
+        cfg = FitConfig(p=1, h=1.0, kernel=KernelKind.GAUSSIAN)
+        grid = default_h_grid(pooled.x_flat)[:3]
+        trace = select_bandwidth(pooled, tag, cfg, grid=grid, trim=True)
+        want = [nan_if_singular(rss_pool_oracle, pooled, tag, cfg, h, trace.trim_bounds)
+                for h in grid]
+        np.testing.assert_allclose(trace.criterion, want, rtol=1e-9)
 
 
 class TestMemory:

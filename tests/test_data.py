@@ -49,15 +49,12 @@ class TestContainers:
         pooled = pool_homogeneous(small_data(), 3)
         assert pooled.offsets.tolist() == [0, 3, 4]
         assert pooled.member_pool_index.tolist() == [0, 0, 0, 1]
-        assert pooled.equal_size is None
-        assert pooled.max_size == 3
-
-    def test_pools_iterator(self):
+        assert pooled.sizes.tolist() == [3, 1]
+        assert pooled.member_table.tolist() == [[0, 1, 2], [3, -1, -1]]
         pooled = pool_homogeneous(small_data(), 2)
-        pools = list(pooled.pools())
-        assert [p.size for p in pools] == [2, 2]
-        assert pools[0].z == 15.0
-        assert pools[1].x.tolist() == [3.0, 4.0]
+        off = pooled.offsets
+        assert pooled.z.tolist() == [15.0, 35.0]
+        assert pooled.x_flat[off[1]:off[2]].tolist() == [3.0, 4.0]
 
 
 class TestRandomPooling:

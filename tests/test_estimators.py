@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 from scipy.optimize import least_squares
 
 from poolreg.data import (
@@ -48,13 +48,19 @@ def q_individual(beta, x_arr, y, cfg, x):
     return np.sqrt(kh(cfg, t)) * (y - poly_at(beta, t))
 
 
+def pool_members(pooled):
+    """Member covariates of each pool, in pool order."""
+    off = pooled.offsets
+    return [pooled.x_flat[a:b] for a, b in zip(off[:-1], off[1:])]
+
+
 def q_pooled(beta, pooled, cfg, x, weight):
     out = []
-    for pool in pooled.pools():
-        t = pool.x - x
+    for members, z in zip(pool_members(pooled), pooled.z):
+        t = members - x
         k = kh(cfg, t)
         w = k.mean() if weight == "average" else k.prod()
-        out.append(np.sqrt(w) * (pool.z - poly_at(beta, t).mean()))
+        out.append(np.sqrt(w) * (z - poly_at(beta, t).mean()))
     return np.asarray(out)
 
 
@@ -516,19 +522,20 @@ def dense_reference(tag, data, cfg, points, drop=None):
     """The dense engine, spelled out: every row at every point, all-member weights.
 
     Per point it builds explicit rows D and weights w over every record or
-    pool, forms A = D^T W D and b = D^T W y, subtracts the dropped rows the
-    same way and solves with lstsq. Besides beta and the failure mask it
-    returns, per point, whether the rcond decision is certain and whether
-    the solution is determined to 1e-12: the normal sums carry rounding of
-    about n * eps relative to the largest sum before the downdate, and the
-    solve magnifies it by the condition number 1/rcond.
+    pool, gives the dropped rows weight zero, forms A = D^T W D and
+    b = D^T W y from the kept rows and solves with lstsq: a refit without
+    the fold's rows. Besides beta and the failure mask it returns, per
+    point, whether the rcond decision is certain and whether the solution
+    is determined to 1e-12: the normal sums carry rounding of about n * eps
+    relative to the largest kept sum, and the solve magnifies it by the
+    condition number 1/rcond.
     """
     if tag is Estimator.INDIVIDUAL:
         groups, resp = [np.array([v]) for v in data.x], data.y
     elif tag is Estimator.MARGINAL:
         groups, resp = [np.array([v]) for v in data.x_flat], build_pseudo_data(data).r_flat
     else:
-        groups, resp = [pool.x for pool in data.pools()], data.z
+        groups, resp = pool_members(data), data.z
     q = cfg.p + 1
     beta = np.full((points.size, q), np.nan)
     failed = np.zeros(points.size, bool)
@@ -538,13 +545,11 @@ def dense_reference(tag, data, cfg, points, drop=None):
         t = [(g - x0) / cfg.h for g in groups]
         k = [kernel_eval(cfg.kernel, tt) / cfg.h for tt in t]
         w = np.array([kk.prod() if tag is Estimator.PRODUCT else kk.mean() for kk in k])
+        if drop is not None:
+            w[drop[i][drop[i] >= 0]] = 0.0
         D = np.array([[np.mean(tt**ell) for ell in range(q)] for tt in t])
         A, b = (D * w[:, None]).T @ D, (D * w[:, None]).T @ resp
         largest = np.abs(A).max()
-        if drop is not None:
-            out = drop[i][drop[i] >= 0]
-            A -= (D[out] * w[out, None]).T @ D[out]
-            b -= (D[out] * w[out, None]).T @ resp[out]
         s = np.linalg.svd(A, compute_uv=False)
         if largest == 0.0 or s[0] == 0.0:
             failed[i] = True  # empty window
@@ -578,6 +583,8 @@ class TestWindowedEngine:
            p=st.sampled_from([0, 1, 2]), kernel=st.sampled_from(list(KernelKind)),
            h=st.floats(min_value=0.01, max_value=1.5),
            fold=st.sampled_from([None, "row", "pool"]))
+    # a fold whose dropped pool carries all but 1e-20 of the product weight
+    @example(seed=0, n_pools=2, p=0, kernel=KernelKind.GAUSSIAN, h=0.125, fold="row")
     def test_matches_dense_reference(self, seed, n_pools, p, kernel, h, fold):
         rng, x, y, sizes, z = random_pools(seed, n_pools)
         units = IndividualDataset(x=x, y=y)

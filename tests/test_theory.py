@@ -22,7 +22,6 @@ from poolreg.kernels import KernelKind
 from poolreg.theory import (
     AsymptoticSummary,
     TheoryContext,
-    average_random_bias_closed_p0,
     average_random_summary,
     covariate_moments,
     homogeneous_summary,
@@ -278,19 +277,19 @@ class TestAverageWeightedRandom:
         assert out.estimator is Estimator.AVERAGE
         assert out.design is Design.RANDOM
 
-    def test_closed_local_constant_value(self):
+    def test_closed_local_constant_value(self, average_random_bias_closed_p0):
         ctx = uniform_ctx(*square_mean())
         got = average_random_bias_closed_p0(ctx, 0.0, 0.1, [2, 2])
         assert abs(got - (1.0 / 6.0 + 0.001)) < 1e-10
 
-    def test_general_path_matches_closed_path_uniform(self):
+    def test_general_path_matches_closed_path_uniform(self, average_random_bias_closed_p0):
         ctx = uniform_ctx(*cubic_mean())
         for sizes in ([2, 2], [1, 2], [1, 2, 3]):
             general = average_random_summary(ctx, 0.3, 0, 0.1, sizes).leading_bias
             closed = average_random_bias_closed_p0(ctx, 0.3, 0.1, sizes)
             assert abs(general - closed) < 1e-9
 
-    def test_general_path_matches_closed_path_sloped_density(self):
+    def test_general_path_matches_closed_path_sloped_density(self, average_random_bias_closed_p0):
         ctx = triangular_ctx(*cubic_mean())
         general = average_random_summary(ctx, 0.3, 0, 0.1, [2, 3]).leading_bias
         closed = average_random_bias_closed_p0(ctx, 0.3, 0.1, [2, 3])
