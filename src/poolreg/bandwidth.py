@@ -227,9 +227,11 @@ def select_bandwidth(
 
     values = np.empty(h_grid.size)
     failures: list[FoldFailure] = []
+    # the points are the covariates: one sort serves both, for every h
+    order = np.argsort(x, kind="stable")
     for i, h in enumerate(h_grid):
         cfg = replace(base_cfg, h=float(h))
-        beta, failed = _local_fits(tag, data, cfg, x, pseudo, drop)
+        beta, failed = _local_fits(tag, data, cfg, x, pseudo, drop, order, order)
         bad = failed & needed
         if bad.any():
             values[i] = np.nan

@@ -38,6 +38,30 @@ window, not the number of points times the number of rows. The Gaussian
 kernel has no window: its blocks read every row, which bounds the memory
 but not the time.
 
+Wide windows of the polynomial kernels (Epanechnikov, quartic, triweight)
+use running sums instead, for unit rows and average pool rows; product
+weights, tricube and Gaussian stay on the blocks. The sorted rows are cut
+into segments of width h/2 anchored at their centres. With s = (anchor -
+x)/h, a row adds to each entry of A and b a polynomial in s: its weight
+(1 - (s + u)^2)^m / c_j times the pool means of (s + v)^ell over its
+members, u and v being its own and its members' (X - anchor)/h. Running
+sums of those coefficients along the rows, restarted at every segment and
+compensated (each cumsum step's exact TwoSum error summed alongside), give
+a window as at most five segment pieces, each evaluated at its own s. The
+window bounds hold exactly the rows of nonzero weight, and a fold's rows
+are built by the row builders and subtracted. Each point carries a
+first-order bound on the rounding of its A and b, from the same running
+sums of the terms' absolute values plus the subtracted fold. It goes back
+to the blocks when its count of nonzero-weight rows (pool rows: members
+over the largest pool size, both less the fold's) is below p + 1, when its
+rcond decision lies within the bound, or when the bound leaves beta_0
+undetermined to 1e-12 of |beta_0| + max |y|. A call takes the running sums
+when its windows hold more than 48 rows per row and point plus 65,536 rows,
+member rows counting c^2 times for pool rows of largest size c. On a 2-core
+x86 host a CV pass on them costs about 5 ms at n = 600, 20 ms at n = 3000,
+80 ms at n = 12,000 and 0.4 s at n = 48,000 whatever h, and the blocks were
+faster below that line (the per-h table is in CHANGES.md).
+
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
 conditioned for small h. A point fails when its normal sums are not finite
@@ -57,7 +81,7 @@ import numpy as np
 
 from .errors import NonPositiveBandwidth, SingularLocalSystem, UserInputError
 from .data import IndividualDataset, PooledDataset
-from .kernels import KernelKind, kernel_eval
+from .kernels import _POLY_FAMILY, KernelKind, kernel_eval
 
 __all__ = [
     "Estimator",
@@ -191,6 +215,9 @@ def build_pseudo_data(data: PooledDataset) -> PseudoData:
 # with 48-64 points (16-32 and 96-512 were slower)
 _CHUNK = 64
 
+# when a call takes the running sums; see the module docstring
+_RUNNING_MIN, _RUNNING_BASE = 48, 65536
+
 
 def _unit_design(
     x: np.ndarray, grid: np.ndarray, cfg: FitConfig
@@ -242,51 +269,175 @@ def _pool_design(
 
 def _normal_sums(
     powers: list[np.ndarray], w: np.ndarray, resp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A = sum w D D^T and b = sum w D y over the last axis, with D = (1, powers).
+) -> np.ndarray:
+    """[A | b] with A = sum w D D^T and b = sum w D y over the last axis, D = (1, powers).
 
     Every entry is a plain row sum of an elementwise product, so its
     summation order is fixed by the array shape alone. resp broadcasts
     against w.
     """
     q = len(powers) + 1
-    A = np.empty((w.shape[0], q, q))
-    b = np.empty((w.shape[0], q))
+    Ab = np.empty((w.shape[0], q, q + 1))
     wd = np.empty_like(w)
     scratch = np.empty_like(w)
     for ell in range(q):
         wd_ell = w if ell == 0 else np.multiply(w, powers[ell - 1], out=wd)
         # D_0 = 1, so row 0 of A holds the plain sums of w D_ell
-        A[:, 0, ell] = A[:, ell, 0] = wd_ell.sum(axis=1)
-        b[:, ell] = np.multiply(wd_ell, resp, out=scratch).sum(axis=1)
+        Ab[:, 0, ell] = Ab[:, ell, 0] = wd_ell.sum(axis=1)
+        Ab[:, ell, q] = np.multiply(wd_ell, resp, out=scratch).sum(axis=1)
         if ell == 0:
             continue
         for ell2 in range(ell, q):
-            A[:, ell, ell2] = A[:, ell2, ell] = np.multiply(
+            Ab[:, ell, ell2] = Ab[:, ell2, ell] = np.multiply(
                 wd_ell, powers[ell2 - 1], out=scratch
             ).sum(axis=1)
-    return A, b
+    return Ab
 
 
-def _solve(A: np.ndarray, b: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each h-scaled system; coefficients on the original scale plus failures.
+def _window_bounds(
+    xs: np.ndarray, points: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point the sorted rows [L, R) of nonzero weight, |fl(fl(X - x)/h)| < 1.
 
-    A system fails when it is not finite or when the ratio of its smallest to
-    its largest singular value is below rcond_min. Failed rows hold NaN.
+    Rows within a few ulps of x -+ h get t computed as the row builders do.
     """
-    eye = np.eye(A.shape[1])
-    bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
-    A[bad] = eye
-    b[bad] = 0.0
-    s = np.linalg.svd(A, compute_uv=False)
+    margin = 4.0 * np.finfo(float).eps * (np.abs(points) + h)
+    bounds = []
+    for side in (-1.0, 1.0):
+        edge = points + side * h
+        first = np.searchsorted(xs, edge - margin)
+        cnt = np.searchsorted(xs, edge + margin, "right") - first
+        owner = np.repeat(np.arange(points.size), cnt)
+        rows = first[owner] + np.arange(owner.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        t = (xs[rows] - points[owner]) / h
+        outside = t <= -1.0 if side < 0 else t < 1.0
+        bounds.append(first + np.bincount(owner, outside, points.size).astype(first.dtype))
+    return bounds[0], bounds[1]
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials in s, coefficients in ascending powers along axis 0."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1]))
+    for i in range(a.shape[0]):
+        out[i:i + b.shape[0]] += a[i] * b
+    return out
+
+
+def _running_sums(
+    xs: np.ndarray, mates: np.ndarray, size: np.ndarray, resp: np.ndarray,
+    cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """[A | b] at every point from running sums, and a bound on its rounding error.
+
+    Row r has covariate xs[r] (ascending), its pool's member covariates
+    mates[:, r] (NaN padded), pool size size[r] and response resp[r]; a unit
+    row is a pool of one. An empty window [L, R) gets zero sums.
+    """
+    const, m = _POLY_FAMILY[cfg.kernel]
+    h, q, n = cfg.h, cfg.p + 1, xs.size
+    seg = np.floor((xs - xs[0]) / (0.5 * h))
+    new = np.r_[True, seg[1:] != seg[:-1]]
+    start = np.flatnonzero(new)
+    end = np.r_[start[1:], n]
+    gid = np.cumsum(new) - 1
+    anchor = xs[0] + (seg[start] + 0.5) * (0.5 * h)
+    u = (xs - anchor[gid]) / h
+    v = np.nan_to_num((mates - anchor[gid]) / h)
+    pairs = [(i, j) for i in range(q) for j in range(i, q + 1)]
+
+    def row_polys(u, v, resp, sign):
+        # each row's terms of [A | b] as polynomials in s, b taking D_q =
+        # resp; sign = 1 with |u|, |v|, |resp| sums their absolute values
+        k = 1.0 / size[None]
+        for _ in range(m):
+            k = _poly_mul(k, np.stack([1.0 + sign * u * u, 2.0 * sign * u, np.full(n, sign)]))
+        nu = [np.ones(n)] + [(v**ell).sum(axis=0) / size for ell in range(1, q)]
+        D = [np.stack([math.comb(ell, g) * nu[ell - g] for g in range(ell + 1)])
+             for ell in range(q)] + [resp[None]]
+        kD = [_poly_mul(k, d) for d in D[:q]]
+        return np.concatenate([_poly_mul(kD[i], D[j]) for i, j in pairs])
+
+    # compensated running sums, restarted at every segment; column n is zero
+    cols = row_polys(u, v, resp, -1.0)
+    run = np.zeros((2 * len(cols), n + 1))
+    np.cumsum(cols, axis=1, out=run[:len(cols), :n])
+    np.cumsum(row_polys(np.abs(u), np.abs(v), np.abs(resp), 1.0), axis=1,
+              out=run[len(cols):, :n])
+    signed, err = run[:len(cols)], np.zeros((len(cols), n + 1))
+    step = signed[:, 1:n] - signed[:, :n - 1]
+    err[:, 1:n] = (signed[:, :n - 1] - (signed[:, 1:n] - step)) + (cols[:, 1:] - step)
+    np.cumsum(err[:, :n], axis=1, out=err[:, :n])
+    before = np.r_[start[gid] - 1, n]
+    before[before < 0] = n
+    run -= run[:, before]
+    signed += err - err[:, before]
+    del cols, err, step, signed
+    first = np.cumsum([0] + [2 * m + i + j + 1 - (j == q) * j for i, j in pairs] * 2)
+    sums = np.zeros((2 * len(pairs), points.size))
+    g_lo, g_hi = gid[np.minimum(L, n - 1)], np.where(R > L, gid[R - 1], -1)
+    for j in range(int((g_hi - g_lo).max(initial=0)) + 1):
+        # the window's piece in its j-th segment; the absolute terms up to
+        # the piece's last row, at |s|, bound the rounding of its sums
+        g = np.minimum(g_lo + j, start.size - 1)
+        used = g_lo + j <= g_hi
+        lo = np.where(used & (L > start[g]), L - 1, n)
+        hi = np.where(used, np.minimum(R, end[g]) - 1, n)
+        piece = run[:, hi]
+        piece[:first[len(pairs)]] -= run[:first[len(pairs)], lo]
+        s = (anchor[g] - points) / h
+        for k, (a, b) in enumerate(zip(first[:-1], first[1:])):  # Horner's rule
+            value = piece[b - 1]
+            for row in piece[b - 2:a - 1 if a else None:-1]:
+                value *= s if k < len(pairs) else np.abs(s)
+                value += row
+            sums[k] += value
+    # first-order rounding per absolute term: u, v and s, the row
+    # polynomials and pool means, the running sums, the pieces and Horner
+    kappa = (16 * (m + q) + 2 * v.shape[0] + 8) * np.finfo(float).eps
+    out = np.empty((2, points.size, q, q + 1))
+    for k, (i, j) in enumerate(pairs):
+        out[:, :, i, j] = sums[[k, len(pairs) + k]] * [[const / h], [kappa * const / h]]
+        if j < q:
+            out[:, :, j, i] = out[:, :, i, j]
+    return out[0], out[1]
+
+
+def _solve(
+    Ab: np.ndarray, cfg: FitConfig, bounds: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve each h-scaled [A | b]: coefficients on the original scale, failures, open points.
+
+    A system fails when it is not finite or when rcond, the ratio of its
+    smallest to its largest singular value, is below rcond_min; failed rows
+    hold NaN. bounds = (E, ymax) bounds the errors [EA | Eb] of [A | b], so
+    the exact singular values lie within e = |EA|_F of the computed ones. A
+    point is left open when that leaves its rcond decision open, when e >
+    s_min / 2, or when |A^-1|_0 (Eb + EA |beta|) / (1 - e / s_min) exceeds
+    1e-12 (|beta_0| + ymax): beta_0 is not determined to 1e-12.
+    """
+    E, ymax = bounds if bounds else (np.zeros_like(Ab), 0.0)
+    A, b, EA, Eb = Ab[..., :-1], Ab[..., -1], E[..., :-1], E[..., -1]
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    # A is symmetric: its singular values are its absolute eigenvalues
+    s = np.sort(np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], A, 0.0))))
+    e = np.sqrt((EA * EA).sum(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rcond = s[:, -1] / s[:, 0]
-    bad |= ~np.isfinite(rcond) | (rcond < cfg.rcond_min)
-    A[bad] = eye
-    beta = np.linalg.solve(A, b[..., None])[..., 0]
+        passes = finite & ((s[:, 0] - e) / (s[:, -1] + e) >= cfg.rcond_min)
+        fails = finite & (s[:, -1] > e) & ((s[:, 0] + e) / (s[:, -1] - e) < cfg.rcond_min)
+    left_open = ~(passes | fails)
+    ok = np.flatnonzero(passes)
+    beta = np.full(b.shape, np.nan)
+    beta[ok] = np.linalg.solve(A[ok], b[ok, :, None])[..., 0]
+    if bounds:
+        # the first row of A^-1, A being symmetric
+        row = np.abs(np.linalg.solve(A[ok], np.eye(A.shape[1])[:, :1])[..., 0])
+        with np.errstate(invalid="ignore"):
+            drift = (row * (Eb[ok] + (EA[ok] @ np.abs(beta[ok, :, None]))[..., 0])).sum(axis=1)
+        near = e[ok] / s[ok, 0]
+        tol = 1e-12 * (1.0 - near) * (np.abs(beta[ok, 0]) + ymax)
+        left_open[ok] = (near > 0.5) | ~(drift <= tol)
     beta /= cfg.h ** np.arange(A.shape[1])
-    beta[bad] = np.nan
-    return beta, bad
+    return beta, ~passes, left_open
 
 
 def _local_fits(
@@ -296,6 +447,8 @@ def _local_fits(
     points: np.ndarray,
     pseudo: PseudoData | None = None,
     drop: np.ndarray | None = None,
+    order: np.ndarray | None = None,
+    point_order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of an estimator at every evaluation point, and which points failed.
 
@@ -304,6 +457,8 @@ def _local_fits(
     marginal estimators, pools for the other two. Those rows get weight zero
     in that point's normal sums. One row per point gives leave-one-out and
     leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
+    order and point_order, when given, are the stable argsorts of the
+    covariates and of the points, for callers that fit many bandwidths.
     """
     if estimator is Estimator.INDIVIDUAL:
         if not isinstance(data, IndividualDataset):
@@ -317,10 +472,15 @@ def _local_fits(
     else:
         x, resp = data.x_flat, data.z
     # covariates in ascending order, so every block of points sees one slice
-    order = np.argsort(x, kind="stable")
+    if order is None:
+        order = np.argsort(x, kind="stable")
+    if point_order is None:
+        point_order = np.argsort(points, kind="stable")
     x_sorted = x[order]
+    eps = np.finfo(float).eps
 
-    if estimator in (Estimator.AVERAGE, Estimator.PRODUCT):
+    pools = estimator in (Estimator.AVERAGE, Estimator.PRODUCT)
+    if pools:
         # slot-major member table: slab i holds every pool's i-th member
         table = data.member_table.T
         members, pad = x[table], table < 0
@@ -330,56 +490,101 @@ def _local_fits(
         def design(rows, grid):
             return (*_pool_design(members[:, rows], pad[:, rows], data.sizes[rows], grid,
                                   cfg, product), resp[rows])
-
-        def window(lo, hi):
-            # every pool with a member in the slice, in ascending pool order
-            touched = np.zeros(data.n_pools, dtype=bool)
-            touched[pool_sorted[lo:hi]] = True
-            return np.flatnonzero(touched)[None, :]
     else:
         def design(rows, grid):
             return (*_unit_design(x[rows], grid, cfg), resp[rows])
 
-        def window(lo, hi):
-            return order[None, lo:hi]
-
-    if drop is not None:
-        # column of each row (one per response) in the current block's
-        # window, -1 outside it; the extra last entry sends the -1 padding
-        # of drop to -1 as well
-        column = np.full(resp.size + 1, -1)
-
     q = cfg.p + 1
-    A = np.empty((points.size, q, q))
-    b = np.empty((points.size, q))
-    eps = np.finfo(float).eps
-    for block in np.array_split(np.argsort(points, kind="stable"),
-                                range(_CHUNK, points.size, _CHUNK)):
+    beta, failed = np.empty((points.size, q)), np.empty(points.size, dtype=bool)
+    todo = point_order
+    if (cfg.kernel in _POLY_FAMILY and estimator is not Estimator.PRODUCT
+            and np.isfinite(points).all()):
+        L, R = _window_bounds(x_sorted, points, cfg.h)
+        cmax = table.shape[0] if pools else 1
+        if (R - L).sum() * cmax**2 > _RUNNING_MIN * (x.size + points.size) + _RUNNING_BASE:
+            if pools:
+                mates = data.member_table[pool_sorted].T
+                mates = np.where(mates >= 0, x[mates], np.nan)
+                size, rows_resp = data.sizes[pool_sorted].astype(float), resp[pool_sorted]
+            else:
+                mates, size, rows_resp = x_sorted[None], np.ones(x.size), resp[order]
+            Ab, E = _running_sums(x_sorted, mates, size, rows_resp, cfg, points, L, R)
+            # rows of nonzero weight: the pools of a window of fewer than
+            # c (q + d) members are counted, larger ones hold q + d or more
+            count, width = R - L, cmax * (q + (0 if drop is None else drop.shape[1]))
+            if pools:
+                few = np.flatnonzero(count < width)
+                rows = L[few, None] + np.arange(width)
+                ids = np.where(rows < R[few, None], pool_sorted[np.minimum(rows, x.size - 1)], -1)
+                ids.sort(axis=1)
+                new = (ids[:, 1:] != ids[:, :-1]) & (ids[:, 1:] >= 0)
+                count[few] = new.sum(axis=1) + (ids[:, 0] >= 0)
+            if drop is not None:
+                # the fold's rows, built by the row builders and subtracted
+                powers, w, y = design(np.maximum(drop, 0), points[:, None])
+                w[drop < 0] = 0.0
+                fold = _normal_sums(powers, w, y)
+                Ab -= fold
+                E += 2.0 * eps * np.abs(fold)
+                count -= (w > 0).sum(axis=1)
+            beta, failed, redo = _solve(Ab, cfg, (E, np.abs(resp).max()))
+            del Ab, E
+            todo = point_order[(redo | (count < q))[point_order]]
+
+    Ab = np.empty((todo.size, q, q + 1))
+    starts = np.arange(0, todo.size, _CHUNK)
+    ends = np.minimum(starts + _CHUNK, todo.size)
+    first, last = points[todo[starts]], points[todo[ends - 1]]
+    if cfg.kernel.compact:
+        # [first - h, last + h] plus a few ulps. Rounding is monotone, so
+        # a member outside the rounded bounds already has rounded |t| >= 1
+        # and weight zero; the margin keeps every member with weight in
+        # the slice even if t and the bounds were rounded differently
+        # (each extra member only adds zero weight)
+        reach = cfg.h + 4.0 * eps * (np.maximum(np.abs(first), np.abs(last)) + cfg.h)
+        lo, hi = np.searchsorted(x_sorted, first - reach), np.searchsorted(x_sorted, last + reach)
+    else:
+        lo, hi = np.zeros_like(starts), np.full_like(starts, x.size)
+    if drop is not None and pools:
+        # pool-to-column map of the current block's window; -1 outside it,
+        # and the extra last entry sends the -1 padding of drop to -1
+        column = np.full(data.n_pools + 1, -1)
+    elif drop is not None:
+        # the column of every dropped record in its block's window, through
+        # the inverse permutation of the sort, for all blocks at once
+        rank = np.empty_like(order)
+        rank[order] = np.arange(x.size)
+        dropped, block_of = drop[todo], np.arange(todo.size) // _CHUNK
+        col = rank[dropped] - lo[block_of, None]
+        hit_i, hit_k = np.nonzero(
+            (dropped >= 0) & (col >= 0) & (col < (hi - lo)[block_of, None]))
+        hit_col = col[hit_i, hit_k]
+        cut = np.searchsorted(hit_i, np.r_[starts, todo.size])
+    for n, (s, e) in enumerate(zip(starts, ends)):
+        block = todo[s:e]
         grid = points[block][:, None]
-        first, last = grid[0, 0], grid[-1, 0]
-        if cfg.kernel.compact:
-            # [first - h, last + h] plus a few ulps. Rounding is monotone, so
-            # a member outside the rounded bounds already has rounded |t| >= 1
-            # and weight zero; the margin keeps every member with weight in
-            # the slice even if t and the bounds were rounded differently
-            # (each extra member only adds zero weight)
-            reach = cfg.h + 4.0 * eps * (max(abs(first), abs(last)) + cfg.h)
-            lo, hi = np.searchsorted(x_sorted, (first - reach, last + reach))
+        if pools:
+            # every pool with a member in the slice, in ascending pool order
+            touched = np.zeros(data.n_pools, dtype=bool)
+            touched[pool_sorted[lo[n]:hi[n]]] = True
+            rows = np.flatnonzero(touched)[None, :]
         else:
-            lo, hi = 0, x.size
-        rows = window(lo, hi)
+            rows = order[None, lo[n]:hi[n]]
         powers, w, y = design(rows, grid)
-        if drop is not None:
-            # dropped rows outside the window already weigh zero
+        if drop is not None and pools:
+            # dropped pools outside the window already weigh zero
             column[rows[0]] = np.arange(rows.shape[1])
             cols = column[drop[block]]
             column[rows[0]] = -1
             hit = cols >= 0
             w[np.nonzero(hit)[0], cols[hit]] = 0.0
-        A[block], b[block] = _normal_sums(powers, w, y)
+        elif drop is not None:
+            w[hit_i[cut[n]:cut[n + 1]] - s, hit_col[cut[n]:cut[n + 1]]] = 0.0
+        Ab[s:e] = _normal_sums(powers, w, y)
         # free this block's rows before the next block builds its own
         del powers, w, y
-    return _solve(A, b, cfg)
+    beta[todo], failed[todo] = _solve(Ab, cfg)[:2]
+    return beta, failed
 
 
 def _fit_point(

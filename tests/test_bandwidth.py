@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from poolreg.bandwidth import CvTrace, default_h_grid, select_bandwidth, trim_bounds_for
-from poolreg.data import Design, IndividualDataset, PooledDataset, pool_random
+from poolreg import estimators
+from poolreg.data import (
+    Design,
+    IndividualDataset,
+    PooledDataset,
+    pool_homogeneous,
+    pool_random,
+)
 from poolreg.errors import (
     NoValidBandwidth,
     SingularLocalSystem,
@@ -361,6 +368,46 @@ class TestExactFolds:
         want = [nan_if_singular(rss_pool_oracle, pooled, tag, cfg, h, trace.trim_bounds)
                 for h in grid]
         np.testing.assert_allclose(trace.criterion, want, rtol=1e-9)
+
+
+class TestRunningSumParity:
+    """CV through the running sums matches CV on the block path alone."""
+
+    @pytest.fixture(scope="class", params=["d2-600", "fit-large"])
+    def study(self, request):
+        if request.param == "d2-600":
+            rng = np.random.default_rng(11)
+            people = sample_dgp(get_dgp("d2"), 600, rng)
+            return people, pool_homogeneous(people, 2)
+        rng = np.random.default_rng(3)
+        people = sample_dgp(get_dgp("d1"), 3000, rng)
+        return people, pool_random(people, 3, rng)
+
+    @pytest.mark.parametrize("tag, criterion", [
+        (Estimator.AVERAGE, "pool"), (Estimator.MARGINAL, "pseudo"),
+        (Estimator.MARGINAL, "pool"), (Estimator.INDIVIDUAL, "pool"),
+    ])
+    def test_same_choice_masks_and_failures(self, study, monkeypatch, tag, criterion):
+        people, pooled = study
+        data = people if tag is Estimator.INDIVIDUAL else pooled
+        cfg = FitConfig(p=1, h=1.0)
+        settled, solve = [], estimators._solve
+
+        def spy(Ab, cfg, bounds=None):
+            out = solve(Ab, cfg, bounds)
+            if bounds is not None:
+                settled.append((~out[2]).sum())
+            return out
+
+        monkeypatch.setattr(estimators, "_solve", spy)
+        got = select_bandwidth(data, tag, cfg, criterion=criterion)
+        assert sum(settled) > data.n_units
+        monkeypatch.setattr(estimators, "_RUNNING_MIN", np.inf)
+        want = select_bandwidth(data, tag, cfg, criterion=criterion)
+        assert got.chosen_h == want.chosen_h
+        assert got.failures == want.failures
+        np.testing.assert_array_equal(np.isnan(got.criterion), np.isnan(want.criterion))
+        np.testing.assert_allclose(got.criterion, want.criterion, rtol=1e-9)
 
 
 class TestMemory:

@@ -26,8 +26,10 @@ from poolreg.estimators import (
     fit_marginal_integration,
     fit_product_weighted,
 )
+from poolreg import estimators
 from poolreg.estimators import _local_fits, _pool_design
 from poolreg.kernels import KernelKind, kernel_eval
+from poolreg.simulation import get_dgp, sample_dgp
 
 
 def kh(cfg, t):
@@ -622,3 +624,125 @@ class TestWindowedEngine:
             _, failed = _local_fits(tag, pooled, cfg, grid)
             _, want_failed, _, _ = dense_reference(tag, pooled, cfg, grid)
             assert failed.tolist() == want_failed.tolist() == [True, False, True, True, False, True]
+
+
+POLYNOMIAL = [KernelKind.EPANECHNIKOV, KernelKind.QUARTIC, KernelKind.TRIWEIGHT]
+
+
+class RunningSums:
+    """Forces the running-sum path and counts the points it settles itself."""
+
+    def __init__(self, monkeypatch):
+        self.settled, self.last = 0, None
+        solve = estimators._solve
+
+        def spy(Ab, cfg, bounds=None):
+            beta, failed, left_open = solve(Ab, cfg, bounds)
+            if bounds is not None:
+                self.settled += int((~left_open).sum())
+                self.last = ~left_open
+            return beta, failed, left_open
+
+        monkeypatch.setattr(estimators, "_RUNNING_MIN", 0)
+        monkeypatch.setattr(estimators, "_RUNNING_BASE", -1)
+        monkeypatch.setattr(estimators, "_solve", spy)
+
+
+class TestRunningSums:
+    """The running-sum path, forced on small data, against the dense reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pools=st.integers(2, 24),
+           p=st.integers(0, 3), kernel=st.sampled_from(POLYNOMIAL),
+           h=st.floats(min_value=0.01, max_value=2.0),
+           fold=st.sampled_from([None, "row", "pool"]),
+           offset=st.sampled_from([0.0, 1e6]), unit=st.sampled_from([1.0, 1e-6]))
+    def test_matches_dense_reference(self, seed, n_pools, p, kernel, h, fold, offset, unit):
+        rng, x, y, sizes, z = random_pools(seed, n_pools)
+        # duplicate covariates, then the covariate moved and rescaled
+        x[rng.integers(0, x.size, x.size // 3)] = x[rng.integers(0, x.size, x.size // 3)]
+        x, h = offset + unit * x, unit * h
+        units = IndividualDataset(x=x, y=y)
+        pooled = PooledDataset(z=z, sizes=sizes, x_flat=x, design=Design.EXTERNAL)
+        cfg = FitConfig(p=p, h=h, kernel=kernel)
+        # points across the data and beyond it (h may exceed the range), and
+        # points with members exactly at x -+ h and at x -+ h (1 - 1e-9)
+        edge = np.r_[h, -h, h * (1 - 1e-9), -h * (1 - 1e-9)]
+        grid = np.r_[offset + unit * np.linspace(-0.2, 1.2, 15), rng.choice(x, 4) + edge]
+        checked = settled = 0
+        for tag in (Estimator.INDIVIDUAL, Estimator.AVERAGE, Estimator.MARGINAL):
+            data = units if tag is Estimator.INDIVIDUAL else pooled
+            points, drop = folds(tag, pooled, fold) if fold else (grid, None)
+            with pytest.MonkeyPatch.context() as mp:
+                running = RunningSums(mp)
+                beta, failed = _local_fits(tag, data, cfg, points, drop=drop)
+            want, want_failed, certain, determined = dense_reference(tag, data, cfg, points, drop)
+            assert np.array_equal(failed[certain], want_failed[certain]), tag
+            assert np.array_equal(np.isnan(beta).any(axis=1), failed), tag
+            ok = determined & ~want_failed
+            scale = np.abs(want[ok, 0]) + np.abs(y).max()
+            np.testing.assert_array_less(
+                np.abs(beta[ok, 0] - want[ok, 0]), 1e-12 * scale, err_msg=str(tag)
+            )
+            checked += ok.sum()
+            if running.last is not None:
+                settled += (ok & running.last).sum()
+        note(f"points compared: {checked}, of them settled by running sums: {settled}")
+
+    @pytest.mark.parametrize("kernel", POLYNOMIAL)
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_agrees_with_the_block_path(self, monkeypatch, kernel, p):
+        rng = np.random.default_rng(p)
+        people = sample_dgp(get_dgp("d1"), 600, rng)
+        pooled = pool_random(people, 3, rng)
+        cfg = FitConfig(p=p, h=0.8, kernel=kernel)
+        x = pooled.x_flat
+        cases = [(Estimator.INDIVIDUAL, people, np.arange(x.size)[:, None]),
+                 (Estimator.AVERAGE, pooled, pooled.member_pool_index[:, None]),
+                 (Estimator.MARGINAL, pooled, pooled.member_table[pooled.member_pool_index])]
+        want = [_local_fits(tag, data, cfg, data.x_flat if data is pooled else data.x, drop=drop)
+                for tag, data, drop in cases]
+        running = RunningSums(monkeypatch)
+        for (tag, data, drop), (beta0, failed0) in zip(cases, want):
+            points = data.x_flat if data is pooled else data.x
+            before = running.settled
+            beta, failed = _local_fits(tag, data, cfg, points, drop=drop)
+            assert np.array_equal(failed, failed0), tag
+            scale = np.abs(beta0[:, 0]) + np.abs(people.y).max() * pooled.sizes.max()
+            np.testing.assert_array_less(np.abs(beta[:, 0] - beta0[:, 0]), 1e-12 * scale)
+            if p < 2:
+                assert running.settled - before > 0.7 * points.size, tag
+
+    def test_rcond_at_the_threshold_goes_back_to_the_block_path(self, monkeypatch):
+        # rows at -+1e-6 with h = 1: rcond is (1e-6)^2, rcond_min itself
+        x = np.repeat([-1e-6, 1e-6], 3)
+        units = IndividualDataset(x=x, y=np.cos(x))
+        cfg = FitConfig(p=1, h=1.0)
+        grid = np.array([0.0, 1e-7, -2e-7, 0.0])
+        want = _local_fits(Estimator.INDIVIDUAL, units, cfg, grid)
+        running = RunningSums(monkeypatch)
+        got = _local_fits(Estimator.INDIVIDUAL, units, cfg, grid)
+        assert running.last is not None and running.settled == 0
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_cancelling_folds_go_back_to_the_block_path(self, monkeypatch):
+        # each point's own row carries all but about 1e-9 of its window's
+        # weight, so the kept sums are far below the rounding of the full ones
+        h = 0.1
+        x = np.r_[0.0, h * (1 - 1e-9), -h * (1 - 1e-9)] + np.arange(0, 40, 1.0)[:, None]
+        x = x.ravel()
+        y = np.cos(x)
+        units = IndividualDataset(x=x, y=y)
+        cfg = FitConfig(p=1, h=h)
+        centres = np.arange(0, x.size, 3)
+        drop = centres[:, None]
+        want, want_failed, certain, determined = dense_reference(
+            Estimator.INDIVIDUAL, units, cfg, x[centres], drop)
+        running = RunningSums(monkeypatch)
+        beta, failed = _local_fits(Estimator.INDIVIDUAL, units, cfg, x[centres], drop=drop)
+        assert running.last is not None and running.settled == 0
+        assert np.array_equal(failed[certain], want_failed[certain])
+        ok = determined & ~want_failed
+        assert ok.any()
+        np.testing.assert_allclose(beta[ok, 0], want[ok, 0], rtol=1e-9)
