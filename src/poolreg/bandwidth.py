@@ -231,7 +231,7 @@ def select_bandwidth(
     order = np.argsort(x, kind="stable")
     for i, h in enumerate(h_grid):
         cfg = replace(base_cfg, h=float(h))
-        beta, failed = _local_fits(tag, data, cfg, x, pseudo, drop, order, order)
+        beta, failed = _local_fits(tag, data, cfg, x, pseudo, drop, order)
         bad = failed & needed
         if bad.any():
             values[i] = np.nan

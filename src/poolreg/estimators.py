@@ -30,37 +30,35 @@ evaluation points and the member covariates once per call and walks the
 sorted points in blocks of a fixed size. A block whose points run from g to
 g' reads the contiguous slice of sorted members in [g - h, g' + h], widened
 by a few ulps: every member outside it has weight exactly zero under a
-compact kernel. Unit rows are the records of the slice; pool rows are every
-pool with a member in the slice, in ascending pool order, built from the
-padded member table so that members outside the slice still enter the pool
-averages. Time and memory per block are then of order block size times
-window, not the number of points times the number of rows. The Gaussian
-kernel has no window: its blocks read every row, which bounds the memory
-but not the time.
+compact kernel, and a block also ends where more rows than a block holds
+points lie between two of its points. Unit rows are the records of the
+slice; pool rows are every pool with a member in the slice, in ascending
+pool order, built from the padded member table so that members outside the
+slice still enter the pool averages. Time and memory per block are then of
+order block size times window, not the number of points times the number
+of rows. The Gaussian kernel has no window: its blocks read every row,
+which bounds the memory but not the time.
 
 Wide windows of the polynomial kernels (Epanechnikov, quartic, triweight)
 use running sums instead, for unit rows and average pool rows; product
 weights, tricube and Gaussian stay on the blocks. The sorted rows are cut
 into segments of width h/2 anchored at their centres. With s = (anchor -
 x)/h, a row adds to each entry of A and b a polynomial in s: its weight
-(1 - (s + u)^2)^m / c_j times the pool means of (s + v)^ell over its
-members, u and v being its own and its members' (X - anchor)/h. Running
-sums of those coefficients along the rows, restarted at every segment and
-compensated (each cumsum step's exact TwoSum error summed alongside), give
-a window as at most five segment pieces, each evaluated at its own s. The
-window bounds hold exactly the rows of nonzero weight, and a fold's rows
-are built by the row builders and subtracted. Each point carries a
-first-order bound on the rounding of its A and b, from the same running
-sums of the terms' absolute values plus the subtracted fold. It goes back
-to the blocks when its count of nonzero-weight rows (pool rows: members
-over the largest pool size, both less the fold's) is below p + 1, when its
-rcond decision lies within the bound, or when the bound leaves beta_0
-undetermined to 1e-12 of |beta_0| + max |y|. A call takes the running sums
-when its windows hold more than 48 rows per row and point plus 65,536 rows,
-member rows counting c^2 times for pool rows of largest size c. On a 2-core
-x86 host a CV pass on them costs about 5 ms at n = 600, 20 ms at n = 3000,
-80 ms at n = 12,000 and 0.4 s at n = 48,000 whatever h, and the blocks were
-faster below that line (the per-h table is in CHANGES.md).
+(1 - (s + u)^2)^m / c_j times the pool means of (s + v)^ell, u and v being
+its own and its members' (X - anchor)/h. Compensated running sums of those
+coefficients, restarted at every segment, give a window as at most five
+segment pieces, each evaluated at its own s; a fold's rows are built by
+the row builders and subtracted. Each point carries a first-order bound on
+the rounding of its A and b and goes back to the blocks when its count of
+nonzero-weight rows is below p + 1, when the bound leaves its rcond
+decision open, or when it leaves beta_0 undetermined to 1e-12 of
+|beta_0| + max |y|. A call takes the running sums when its windows hold
+more than 48 rows per row and point plus 65,536, pool rows of largest size
+c counting c^2 per member. CV passes timed on both paths at every candidate
+h (CHANGES.md) put that line within noise of the faster path: a running
+pass costs about 5 ms at n = 600, 15 ms at n = 3000, 65 ms at n = 12,000
+and 0.35 s at n = 48,000 whatever h, and loses to the blocks on narrow
+windows, where the bound leaves many points to refit.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -418,7 +416,8 @@ def _solve(
     E, ymax = bounds if bounds else (np.zeros_like(Ab), 0.0)
     A, b, EA, Eb = Ab[..., :-1], Ab[..., -1], E[..., :-1], E[..., -1]
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    # A is symmetric: its singular values are its absolute eigenvalues
+    # A is symmetric, so its singular values are its absolute eigenvalues;
+    # eigvalsh finds them in about a third of the time svd takes
     s = np.sort(np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], A, 0.0))))
     e = np.sqrt((EA * EA).sum(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -448,7 +447,6 @@ def _local_fits(
     pseudo: PseudoData | None = None,
     drop: np.ndarray | None = None,
     order: np.ndarray | None = None,
-    point_order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of an estimator at every evaluation point, and which points failed.
 
@@ -457,8 +455,9 @@ def _local_fits(
     marginal estimators, pools for the other two. Those rows get weight zero
     in that point's normal sums. One row per point gives leave-one-out and
     leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
-    order and point_order, when given, are the stable argsorts of the
-    covariates and of the points, for callers that fit many bandwidths.
+    order, when given, is the stable argsort of the covariates, for callers
+    that fit many bandwidths; it sorts the points too when they are the
+    covariates.
     """
     if estimator is Estimator.INDIVIDUAL:
         if not isinstance(data, IndividualDataset):
@@ -474,8 +473,7 @@ def _local_fits(
     # covariates in ascending order, so every block of points sees one slice
     if order is None:
         order = np.argsort(x, kind="stable")
-    if point_order is None:
-        point_order = np.argsort(points, kind="stable")
+    point_order = order if points is x else np.argsort(points, kind="stable")
     x_sorted = x[order]
     eps = np.finfo(float).eps
 
@@ -490,16 +488,27 @@ def _local_fits(
         def design(rows, grid):
             return (*_pool_design(members[:, rows], pad[:, rows], data.sizes[rows], grid,
                                   cfg, product), resp[rows])
+
+        def window(lo, hi):
+            # every pool with a member in the slice, in ascending pool order
+            touched = np.zeros(data.n_pools, dtype=bool)
+            touched[pool_sorted[lo:hi]] = True
+            return np.flatnonzero(touched)[None, :]
     else:
         def design(rows, grid):
             return (*_unit_design(x[rows], grid, cfg), resp[rows])
+
+        def window(lo, hi):
+            return order[None, lo:hi]
 
     q = cfg.p + 1
     beta, failed = np.empty((points.size, q)), np.empty(points.size, dtype=bool)
     todo = point_order
     if (cfg.kernel in _POLY_FAMILY and estimator is not Estimator.PRODUCT
             and np.isfinite(points).all()):
-        L, R = _window_bounds(x_sorted, points, cfg.h)
+        # the points in ascending order, so the running sums are read in order
+        grid = points[point_order]
+        L, R = _window_bounds(x_sorted, grid, cfg.h)
         cmax = table.shape[0] if pools else 1
         if (R - L).sum() * cmax**2 > _RUNNING_MIN * (x.size + points.size) + _RUNNING_BASE:
             if pools:
@@ -508,7 +517,7 @@ def _local_fits(
                 size, rows_resp = data.sizes[pool_sorted].astype(float), resp[pool_sorted]
             else:
                 mates, size, rows_resp = x_sorted[None], np.ones(x.size), resp[order]
-            Ab, E = _running_sums(x_sorted, mates, size, rows_resp, cfg, points, L, R)
+            Ab, E = _running_sums(x_sorted, mates, size, rows_resp, cfg, grid, L, R)
             # rows of nonzero weight: the pools of a window of fewer than
             # c (q + d) members are counted, larger ones hold q + d or more
             count, width = R - L, cmax * (q + (0 if drop is None else drop.shape[1]))
@@ -521,69 +530,56 @@ def _local_fits(
                 count[few] = new.sum(axis=1) + (ids[:, 0] >= 0)
             if drop is not None:
                 # the fold's rows, built by the row builders and subtracted
-                powers, w, y = design(np.maximum(drop, 0), points[:, None])
-                w[drop < 0] = 0.0
+                left_out = drop[point_order]
+                powers, w, y = design(np.maximum(left_out, 0), grid[:, None])
+                w[left_out < 0] = 0.0
                 fold = _normal_sums(powers, w, y)
                 Ab -= fold
                 E += 2.0 * eps * np.abs(fold)
                 count -= (w > 0).sum(axis=1)
-            beta, failed, redo = _solve(Ab, cfg, (E, np.abs(resp).max()))
+            beta[point_order], failed[point_order], redo = _solve(Ab, cfg, (E, np.abs(resp).max()))
             del Ab, E
-            todo = point_order[(redo | (count < q))[point_order]]
+            todo = point_order[redo | (count < q)]
 
-    Ab = np.empty((todo.size, q, q + 1))
-    starts = np.arange(0, todo.size, _CHUNK)
-    ends = np.minimum(starts + _CHUNK, todo.size)
-    first, last = points[todo[starts]], points[todo[ends - 1]]
-    if cfg.kernel.compact:
-        # [first - h, last + h] plus a few ulps. Rounding is monotone, so
-        # a member outside the rounded bounds already has rounded |t| >= 1
-        # and weight zero; the margin keeps every member with weight in
-        # the slice even if t and the bounds were rounded differently
-        # (each extra member only adds zero weight)
-        reach = cfg.h + 4.0 * eps * (np.maximum(np.abs(first), np.abs(last)) + cfg.h)
-        lo, hi = np.searchsorted(x_sorted, first - reach), np.searchsorted(x_sorted, last + reach)
-    else:
-        lo, hi = np.zeros_like(starts), np.full_like(starts, x.size)
-    if drop is not None and pools:
-        # pool-to-column map of the current block's window; -1 outside it,
-        # and the extra last entry sends the -1 padding of drop to -1
-        column = np.full(data.n_pools + 1, -1)
-    elif drop is not None:
-        # the column of every dropped record in its block's window, through
-        # the inverse permutation of the sort, for all blocks at once
-        rank = np.empty_like(order)
-        rank[order] = np.arange(x.size)
-        dropped, block_of = drop[todo], np.arange(todo.size) // _CHUNK
-        col = rank[dropped] - lo[block_of, None]
-        hit_i, hit_k = np.nonzero(
-            (dropped >= 0) & (col >= 0) & (col < (hi - lo)[block_of, None]))
-        hit_col = col[hit_i, hit_k]
-        cut = np.searchsorted(hit_i, np.r_[starts, todo.size])
-    for n, (s, e) in enumerate(zip(starts, ends)):
+    if drop is not None:
+        # column of each row (one per response) in the current block's
+        # window, -1 outside it; the extra last entry sends the -1 padding
+        # of drop to -1 as well
+        column = np.full(resp.size + 1, -1)
+    Ab = np.empty((points.size, q, q + 1))
+    # blocks of up to _CHUNK sorted points, under a compact kernel also cut
+    # where more than _CHUNK rows lie between two points (points refit after
+    # the running sums, a coarse grid)
+    i, at = np.arange(todo.size), np.searchsorted(x_sorted, points[todo])
+    gap = cfg.kernel.compact & (np.diff(at, prepend=at[:1]) > _CHUNK)
+    starts = np.flatnonzero((i - np.maximum.accumulate(np.where(gap, i, 0))) % _CHUNK == 0)
+    for s, e in zip(starts, np.r_[starts[1:], todo.size]):
         block = todo[s:e]
         grid = points[block][:, None]
-        if pools:
-            # every pool with a member in the slice, in ascending pool order
-            touched = np.zeros(data.n_pools, dtype=bool)
-            touched[pool_sorted[lo[n]:hi[n]]] = True
-            rows = np.flatnonzero(touched)[None, :]
+        first, last = grid[0, 0], grid[-1, 0]
+        if cfg.kernel.compact:
+            # [first - h, last + h] plus a few ulps. Rounding is monotone, so
+            # a member outside the rounded bounds already has rounded |t| >= 1
+            # and weight zero; the margin keeps every member with weight in
+            # the slice even if t and the bounds were rounded differently
+            # (each extra member only adds zero weight)
+            reach = cfg.h + 4.0 * eps * (max(abs(first), abs(last)) + cfg.h)
+            lo, hi = np.searchsorted(x_sorted, (first - reach, last + reach))
         else:
-            rows = order[None, lo[n]:hi[n]]
+            lo, hi = 0, x.size
+        rows = window(lo, hi)
         powers, w, y = design(rows, grid)
-        if drop is not None and pools:
-            # dropped pools outside the window already weigh zero
+        if drop is not None:
+            # dropped rows outside the window already weigh zero
             column[rows[0]] = np.arange(rows.shape[1])
             cols = column[drop[block]]
             column[rows[0]] = -1
             hit = cols >= 0
             w[np.nonzero(hit)[0], cols[hit]] = 0.0
-        elif drop is not None:
-            w[hit_i[cut[n]:cut[n + 1]] - s, hit_col[cut[n]:cut[n + 1]]] = 0.0
-        Ab[s:e] = _normal_sums(powers, w, y)
+        Ab[block] = _normal_sums(powers, w, y)
         # free this block's rows before the next block builds its own
         del powers, w, y
-    beta[todo], failed[todo] = _solve(Ab, cfg)[:2]
+    beta[todo], failed[todo] = _solve(Ab[todo], cfg)[:2]
     return beta, failed
 
 

@@ -613,6 +613,29 @@ class TestWindowedEngine:
             checked += ok.sum()
         note(f"points compared: {checked}")
 
+    @pytest.mark.parametrize("kernel", [KernelKind.EPANECHNIKOV, KernelKind.TRICUBE])
+    def test_blocks_cut_at_wide_gaps_match_dense(self, kernel):
+        # more than a block's worth of members lies between neighbouring
+        # points, so the blocks are cut there; p = 0, so the dense reference
+        # determines every fit over these ~450 rows
+        _, x, y, sizes, z = random_pools(5, 180)
+        units = IndividualDataset(x=x, y=y)
+        pooled = PooledDataset(z=z, sizes=sizes, x_flat=x, design=Design.EXTERNAL)
+        cfg = FitConfig(p=0, h=0.06, kernel=kernel)
+        grid = np.linspace(0.9, 0.1, 5)
+        assert (np.diff(np.searchsorted(np.sort(x), grid[::-1])) > 64).all()
+        for tag in Estimator:
+            data = units if tag is Estimator.INDIVIDUAL else pooled
+            beta, failed = _local_fits(tag, data, cfg, grid)
+            want, want_failed, certain, determined = dense_reference(tag, data, cfg, grid)
+            assert np.array_equal(failed[certain], want_failed[certain]), tag
+            ok = determined & ~want_failed
+            assert ok.all(), tag
+            scale = np.abs(want[ok, 0]) + np.abs(y).max()
+            np.testing.assert_array_less(
+                np.abs(beta[ok, 0] - want[ok, 0]), 1e-12 * scale, err_msg=str(tag)
+            )
+
     def test_empty_windows_fail_as_dense(self):
         pooled = PooledDataset(
             z=[1.0, 2.0, 3.0], sizes=[1, 2, 3], x_flat=[0.0, 0.5, 0.52, 1.0, 1.01, 1.02],
@@ -700,8 +723,10 @@ class TestRunningSums:
         cases = [(Estimator.INDIVIDUAL, people, np.arange(x.size)[:, None]),
                  (Estimator.AVERAGE, pooled, pooled.member_pool_index[:, None]),
                  (Estimator.MARGINAL, pooled, pooled.member_table[pooled.member_pool_index])]
-        want = [_local_fits(tag, data, cfg, data.x_flat if data is pooled else data.x, drop=drop)
-                for tag, data, drop in cases]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_RUNNING_MIN", np.inf)
+            want = [_local_fits(tag, data, cfg, data.x_flat if data is pooled else data.x,
+                                drop=drop) for tag, data, drop in cases]
         running = RunningSums(monkeypatch)
         for (tag, data, drop), (beta0, failed0) in zip(cases, want):
             points = data.x_flat if data is pooled else data.x
