@@ -21,7 +21,8 @@ when a computation fails numerically.
 File schemas
     simulate   replications.csv (rep, estimator, h, ise),
                curves.csv (rep, estimator, x, m_hat),
-               quartiles.csv (estimator, quartile, rep, ise)
+               quartiles.csv (estimator, quartile, rep, ise),
+               failures.csv (rep, estimator, reason; header only if none failed)
     fit        curve.csv (x, m_hat, failed), cv_trace.csv when the
                bandwidth is cross-validated, pseudo.csv (pool_id, R) for
                the marginal estimator
@@ -316,10 +317,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
         use_true_mean_reference=cfg.reference == "true",
     )
     records = run_monte_carlo(spec, jobs=cfg.jobs)
+    failures = [(r.index, est, reason) for r in records for est, reason in r.failures]
+    _write_csv(out_dir / "failures.csv", ("rep", "estimator", "reason"), failures)
 
     if not any(r.ises[e] is not None for r in records for e in spec.estimators):
-        first = next(msg for r in records for _, msg in r.failures)
-        raise NumericalFailure(f"every replication failed; first failure: {first}")
+        raise NumericalFailure(f"every replication failed; first failure: {failures[0][2]}")
 
     summary_rows = []
     curve_rows = []

@@ -466,7 +466,7 @@ def test_c11_cli_determinism(accept, tmp_path):
     sim_ok = all(
         (a / name).read_bytes() == (b / name).read_bytes()
         and (a / name).read_bytes() == (c / name).read_bytes()
-        for name in ("replications.csv", "curves.csv", "quartiles.csv")
+        for name in ("replications.csv", "curves.csv", "quartiles.csv", "failures.csv")
     )
 
     d = run("bootstrap", boot_cfg, "boot_a")

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import csv
 import importlib
 import importlib.util
 import os
@@ -34,12 +35,31 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
-def test_import_loads_no_scipy():
-    # scipy.integrate alone once made up most of the cost of importing poolreg
-    code = "import sys, poolreg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_import_loads_no_scipy(tmp_path):
+    # importing scipy.integrate once cost more than the rest of a theory run;
+    # neither importing poolreg nor computing its theory may load scipy
+    homogeneous = "design = homogeneous\nestimators = individual,average,product\n"
+    designs = {"d2-homogeneous": "dgp = d2\n" + homogeneous,
+               "d2-random": "dgp = d2\ndesign = random\n",
+               "d3-homogeneous": "dgp = d3\n" + homogeneous}
+    runs = []
+    for name, body in designs.items():
+        cfg = write_cfg(tmp_path, body + "n = 600\nh = 0.25\ngrid_count = 5\n",
+                        name=f"{name}.cfg")
+        runs.append(["theory", "--config", cfg, "--out", str(tmp_path / name)])
+    code = (
+        "import sys, poolreg\n"
+        "from poolreg import cli\n"
+        "after_import = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(after_import), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
+    for name in designs:
+        assert (tmp_path / name / "theory.csv").exists()
 
 
 def test_benchmark_wrapped_names_resolve():
@@ -102,7 +122,7 @@ seed = 7
 
 
 class TestSimulate:
-    def test_minimal_run_writes_three_csvs(self, tmp_path):
+    def test_minimal_run_writes_its_csvs(self, tmp_path):
         cfg = write_cfg(tmp_path, SIMULATE_CFG)
         out = tmp_path / "res"
         proc = run_cli("simulate", "--config", cfg, "--out", str(out))
@@ -114,6 +134,7 @@ class TestSimulate:
         assert header == ["rep", "estimator", "x", "m_hat"]
         assert len(rows) == 2 * 4 * 5
         assert (out / "quartiles.csv").exists()
+        assert (out / "failures.csv").read_text().startswith("rep,estimator,reason\n")
         assert (out / "resolved-config").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -121,8 +142,38 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli("simulate", "--config", cfg, "--out", str(a)).returncode == 0
         assert run_cli("simulate", "--config", cfg, "--out", str(b)).returncode == 0
-        for name in ("replications.csv", "curves.csv", "quartiles.csv"):
+        for name in ("replications.csv", "curves.csv", "quartiles.csv", "failures.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_failures_csv_keeps_every_failed_fit(self, tmp_path):
+        # at this fixed h some product replications leave points without a
+        # full pool inside the window, others fit everywhere
+        cfg = write_cfg(tmp_path, "dgp = quadratic\nn = 60\nc = 2\n"
+                        "estimators = individual,product\np = 0\nh = 0.3\n"
+                        "grid_min = -0.6\ngrid_max = 0.6\ngrid_count = 5\n"
+                        "replications = 6\nseed = 42\n")
+        outs = []
+        for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
+            proc = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / name),
+                           "--jobs", jobs)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((tmp_path / name / "failures.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        with open(tmp_path / "a" / "failures.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["rep", "estimator", "reason"]
+        assert rows and {est for _, est, _ in rows} == {"product"}
+        _, summary = read_rows(tmp_path / "a" / "replications.csv")
+        failed = {(int(rep), est) for rep, est, _ in rows}
+        for rep, est, _, ise in summary:
+            assert (ise == "nan") == ((int(rep), est) in failed)
+        assert len(failed) < 6
+
+        healthy = write_cfg(tmp_path, Path(cfg).read_text().replace(
+            "individual,product", "individual"), name="healthy.cfg")
+        proc = run_cli("simulate", "--config", healthy, "--out", str(tmp_path / "d"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "d" / "failures.csv").read_text() == "rep,estimator,reason\n"
 
     def test_jobs_flag_changes_nothing(self, tmp_path):
         cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("replications = 2",
@@ -133,6 +184,7 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert (a / "replications.csv").read_bytes() == (b / "replications.csv").read_bytes()
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
+        assert (a / "failures.csv").read_bytes() == (b / "failures.csv").read_bytes()
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         # the simulate study of the byte-identical-rerun acceptance check
@@ -152,7 +204,7 @@ class TestSimulate:
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
-        for name in ("replications.csv", "curves.csv", "quartiles.csv"):
+        for name in ("replications.csv", "curves.csv", "quartiles.csv", "failures.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_resolved_config_round_trips(self, tmp_path):

@@ -9,7 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from poolreg import theory
 from poolreg.data import Design
 from poolreg.errors import (
     DivergentMoment,
@@ -19,6 +21,7 @@ from poolreg.errors import (
 )
 from poolreg.estimators import Estimator
 from poolreg.kernels import KernelKind
+from poolreg.simulation import DGP_REGISTRY, theory_context
 from poolreg.theory import (
     AsymptoticSummary,
     TheoryContext,
@@ -111,6 +114,19 @@ class TestContextValidation:
         with pytest.raises(DivergentMoment):
             covariate_moments(ctx, 0.5, 2)
 
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_every_cauchy_moment_of_order_one_to_three_diverges(self, ell, x):
+        # each tail is integrated on its own, so E X under a symmetric
+        # heavy-tailed law cannot come back as 0 by cancellation
+        ctx = TheoryContext(
+            mean=lambda s: s,
+            density=lambda s: 1.0 / (math.pi * (1.0 + s * s)),
+            sigma2=1.0, support=(-np.inf, np.inf),
+        )
+        with pytest.raises(DivergentMoment):
+            ctx.expect(lambda s: (s - x) ** ell)
+
     def test_sigma2_accepts_constant_and_callable(self):
         m, md = square_mean()
         const = uniform_ctx(m, md, sigma2=2.0)
@@ -123,6 +139,72 @@ class TestContextValidation:
         )
         assert varying.sigma2_at(0.5) == 1.25
         assert abs(varying.sigma2_mean - (1.0 + 1.0 / 3.0)) < 1e-9
+
+
+def exponential_ctx():
+    return TheoryContext(
+        mean=lambda s: s, density=lambda s: math.exp(-s), sigma2=1.0,
+        support=(0.0, np.inf), mean_derivative=lambda x, k: float(k == 1),
+    )
+
+
+@pytest.fixture
+def quad_oracle(monkeypatch):
+    """Checks every integral the theory layer takes against scipy's quad.
+
+    Each call must agree with quad to within the context's tolerance and
+    report an error no larger than it; the checked calls are counted.
+    """
+    own = theory._integrate
+    calls = []
+
+    def checked(integrand, support, breakpoints, tol):
+        value, err = own(integrand, support, breakpoints, tol)
+        a, b = support
+        points = [t for t in breakpoints if a < t < b] if np.isfinite([a, b]).all() else []
+        want, _ = integrate.quad(integrand, a, b, epsabs=tol, epsrel=0.0, limit=400,
+                                 points=points or None)
+        assert err <= tol
+        assert abs(value - want) <= tol, (support, value, want)
+        calls.append(value)
+        return value, err
+
+    monkeypatch.setattr(theory, "_integrate", checked)
+    return calls
+
+
+class TestQuadratureOracle:
+    @pytest.mark.parametrize("key", sorted(DGP_REGISTRY))
+    def test_registry_laws_match_quad(self, quad_oracle, key):
+        ctx = theory_context(DGP_REGISTRY[key])
+        for x in (-1.5, -1.0, 0.0, 0.7, 1.0):
+            covariate_moments(ctx, x, 4)
+            for p in (1, 2):
+                remainder_moments(ctx, x, p, 4)
+        assert len(quad_oracle) == 1 + 5 * (4 + 2 * 5)
+
+    @pytest.mark.parametrize("declared", [(0.0,), ()])
+    def test_triangular_law_with_and_without_its_breakpoint(self, quad_oracle, declared):
+        ctx = replace(triangular_ctx(*cubic_mean()), breakpoints=declared)
+        delta = covariate_moments(ctx, 0.3, 4)
+        remainder_moments(ctx, 0.3, 1, 3)
+        # E X^2 = 1/6 under f(s) = 1 - |s|, so E (X - 0.3)^2 = 1/6 + 0.09
+        assert abs(delta[2] - (1.0 / 6.0 + 0.09)) < 1e-12
+        # both contexts, before and after replace, check their mass
+        assert len(quad_oracle) == 2 + 4 + 4
+
+    def test_half_infinite_exponential_law(self, quad_oracle):
+        ctx = exponential_ctx()
+        delta = covariate_moments(ctx, 0.0, 4)
+        assert np.allclose(delta, [1.0, 1.0, 2.0, 6.0, 24.0], rtol=0.0, atol=1e-9)
+        remainder_moments(ctx, 1.0, 1, 3)
+        assert len(quad_oracle) == 1 + 4 + 4
+
+    def test_repeated_calls_are_bit_identical(self):
+        for ctx in (exponential_ctx(), theory_context(DGP_REGISTRY["d3"]),
+                    theory_context(DGP_REGISTRY["d2"])):
+            fun = lambda s: math.sin(s) * s * s
+            assert ctx.expect(fun) == ctx.expect(fun)
 
 
 class TestDerivativeFallback:
