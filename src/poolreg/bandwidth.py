@@ -55,7 +55,11 @@ gets the plain argmin.
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -102,9 +106,22 @@ class CvTrace:
 
 
 def trim_bounds_for(x_values: np.ndarray) -> tuple[float, float]:
-    """Central 95 percent of the covariate sample."""
-    lo, hi = np.quantile(np.asarray(x_values, dtype=float), [0.025, 0.975])
-    return float(lo), float(hi)
+    """Central 95 percent of the covariate sample.
+
+    These are np.quantile's default 'linear' points, bit for bit: its virtual
+    index (n - 1) q and its two-sided lerp, from one sort. np.quantile itself
+    imports numpy.ma on its first call.
+    """
+    x = np.sort(np.asarray(x_values, dtype=float).ravel())
+    last = x.size - 1
+    bounds = []
+    for q in (0.025, 0.975):
+        v = last * q
+        j = min(math.floor(v), last - 1)  # one value: numpy reads x[-1] twice, t = 1
+        a, b = float(x[j]), float(x[j + 1])
+        t, d = v - j, b - a
+        bounds.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return bounds[0], bounds[1]
 
 
 def default_h_grid(x_values, n: int = 30) -> np.ndarray:
@@ -161,6 +178,29 @@ def _in_bounds(x: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     return (x >= a) & (x <= b)
 
 
+def _map(fun: Callable, items, jobs: int) -> list:
+    """fun over items in order, serially or over at most jobs worker processes."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fun(item) for item in items]
+    chunk = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fun, items, chunksize=chunk))
+
+
+def _score(tag, data, base_cfg, pseudo, drop, order, needed, target, h):
+    """One candidate's criterion, or NaN, and the needed points whose fold failed."""
+    x = data.x if tag is Estimator.INDIVIDUAL else data.x_flat
+    beta, failed = _local_fits(tag, data, replace(base_cfg, h=float(h)), x, pseudo, drop, order)
+    bad = np.flatnonzero(failed & needed)
+    if bad.size:
+        return np.nan, bad
+    if target is None:
+        return _pool_rss(data, beta[:, 0], needed), bad
+    resid = np.where(needed, target - beta[:, 0], 0.0)
+    return float(resid @ resid), bad
+
+
 def select_bandwidth(
     data: IndividualDataset | PooledDataset,
     tag: Estimator,
@@ -168,6 +208,7 @@ def select_bandwidth(
     grid=None,
     trim: bool = True,
     criterion: str = "pseudo",
+    jobs: int = 1,
 ) -> CvTrace:
     """Pick the bandwidth minimizing the estimator's cross-validation criterion.
 
@@ -188,6 +229,10 @@ def select_bandwidth(
     S = sum_j c_j Z_j^2 for pool-level criteria and S = sum_i R_i^2 over the
     pseudo responses for the pseudo criterion. Candidates apart by more than
     that are ordered exactly.
+
+    jobs > 1 scores the candidates over that many worker processes (never
+    more than there are candidates), each returning its criterion value or
+    NaN and its failed points; the trace is the same for any jobs.
     """
     if isinstance(data, IndividualDataset):
         if tag is not Estimator.INDIVIDUAL:
@@ -225,23 +270,13 @@ def select_bandwidth(
     reason = ("leave-one-pseudo-point-out fit singular" if kind == "pseudo"
               else "leave-pool-out fit singular at a member covariate")
 
-    values = np.empty(h_grid.size)
-    failures: list[FoldFailure] = []
     # the points are the covariates: one sort serves both, for every h
     order = np.argsort(x, kind="stable")
-    for i, h in enumerate(h_grid):
-        cfg = replace(base_cfg, h=float(h))
-        beta, failed = _local_fits(tag, data, cfg, x, pseudo, drop, order)
-        bad = failed & needed
-        if bad.any():
-            values[i] = np.nan
-            failures.extend(FoldFailure(cfg.h, int(pool_of[j]), float(x[j]), reason)
-                            for j in np.flatnonzero(bad))
-        elif target is None:
-            values[i] = _pool_rss(data, beta[:, 0], needed)
-        else:
-            resid = np.where(needed, target - beta[:, 0], 0.0)
-            values[i] = float(resid @ resid)
+    scores = _map(partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target),
+                  h_grid, jobs)
+    values = np.array([value for value, _ in scores])
+    failures = tuple(FoldFailure(float(h), int(pool_of[j]), float(x[j]), reason)
+                     for h, (_, bad) in zip(h_grid, scores) for j in bad)
 
     finite = np.isfinite(values)
     if not finite.any():
@@ -260,5 +295,5 @@ def select_bandwidth(
         criterion=values,
         chosen_h=float(h_grid[best]),
         trim_bounds=bounds,
-        failures=tuple(failures),
+        failures=failures,
     )

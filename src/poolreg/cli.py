@@ -26,17 +26,20 @@ File schemas
     fit        curve.csv (x, m_hat, failed), cv_trace.csv when the
                bandwidth is cross-validated, pseudo.csv (pool_id, R) for
                the marginal estimator
-    bandwidth  cv_trace.csv (h, criterion, valid)
+    bandwidth  cv_trace.csv (h, criterion, valid, failed_folds)
     theory     theory.csv (x, estimator, persistent_bias, leading_bias,
                variance_factor)
-    bootstrap  bands.csv (x, mean, q05, q95, coverage)
+    bootstrap  bands.csv (x, mean, q05, q95, coverage), cv_trace.csv when the
+               bandwidth is cross-validated
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +78,22 @@ __all__ = [
 ]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass
 class RunConfig:
-    """Effective settings for one command, defaults filled in."""
+    """Effective settings for one command, defaults filled in.
+
+    jobs is the number of worker processes: simulate fans out replications,
+    bootstrap its CV candidates and then its resamples, fit and bandwidth
+    their CV candidates. It defaults to the CPUs this process may run on;
+    outputs are identical for any value.
+    """
 
     dgp: str = "d3"
     n: int = 600
@@ -105,7 +121,7 @@ class RunConfig:
     pools: str | None = None
     members: str | None = None
     out: str = "."
-    jobs: int = 1
+    jobs: int = field(default_factory=_usable_cpus)
 
     @property
     def use_cv(self) -> bool:
@@ -267,11 +283,12 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 
 
 def _write_cv_trace(out_dir: Path, trace) -> None:
+    failed = Counter(f.h for f in trace.failures)
     rows = [
-        (h, crit, int(np.isfinite(crit)))
+        (h, crit, int(np.isfinite(crit)), failed[float(h)])
         for h, crit in zip(trace.h_grid, trace.criterion)
     ]
-    _write_csv(out_dir / "cv_trace.csv", ("h", "criterion", "valid"), rows)
+    _write_csv(out_dir / "cv_trace.csv", ("h", "criterion", "valid", "failed_folds"), rows)
 
 
 def _load_fit_data(cfg: RunConfig) -> IndividualDataset | PooledDataset:
@@ -293,9 +310,8 @@ def _choose_bandwidth(cfg: RunConfig, data, tag: Estimator, out_dir: Path) -> fl
     """Fixed h if configured, otherwise cross-validate and record the trace."""
     if not cfg.use_cv:
         return cfg.h
-    trace = select_bandwidth(
-        data, tag, _fit_config(cfg, 1.0), trim=cfg.trim, criterion=cfg.criterion
-    )
+    trace = select_bandwidth(data, tag, _fit_config(cfg, 1.0), trim=cfg.trim,
+                             criterion=cfg.criterion, jobs=cfg.jobs)
     _write_cv_trace(out_dir, trace)
     return trace.chosen_h
 
@@ -377,9 +393,8 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
 def cmd_bandwidth(cfg: RunConfig, out_dir: Path) -> None:
     data = _load_fit_data(cfg)
     tag = cfg.single_estimator("bandwidth")
-    trace = select_bandwidth(
-        data, tag, _fit_config(cfg, 1.0), trim=cfg.trim, criterion=cfg.criterion
-    )
+    trace = select_bandwidth(data, tag, _fit_config(cfg, 1.0), trim=cfg.trim,
+                             criterion=cfg.criterion, jobs=cfg.jobs)
     _write_cv_trace(out_dir, trace)
     print(f"chosen_h = {FLOAT_FMT % trace.chosen_h}")
 

@@ -18,14 +18,13 @@ of the public contract.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .bandwidth import select_bandwidth
+from .bandwidth import _map, select_bandwidth
 from .data import (
     Design,
     IndividualDataset,
@@ -422,15 +421,6 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
         index=index, master_seed=spec.seed, curves=curves,
         ises=ises, bandwidths=bandwidths, failures=tuple(failures),
     )
-
-
-def _map(fun: Callable, items, jobs: int) -> list:
-    """fun over items in order, serially or over jobs worker processes."""
-    if jobs <= 1:
-        return [fun(item) for item in items]
-    chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fun, items, chunksize=chunk))
 
 
 def run_monte_carlo(spec: SimulationSpec, jobs: int = 1) -> list[ReplicationRecord]:

@@ -317,6 +317,55 @@ class TestSelectBandwidth:
             select_bandwidth(pooled, Estimator.MARGINAL, BASE, criterion="banana")
 
 
+class TestTrimBounds:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 41, 81, 600, 3001])
+    def test_equal_to_numpy_quantile_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        samples = [rng.normal(size=n), rng.uniform(-1, 1, size=n) * 1e-300,
+                   rng.integers(0, 4, size=n).astype(float),  # heavy ties
+                   np.round(rng.normal(size=n), 1), np.full(n, -2.5), np.full(n, -0.0)]
+        for x in samples:
+            want = np.quantile(x, [0.025, 0.975])
+            got = np.array(trim_bounds_for(x))
+            assert got.tobytes() == want.tobytes(), (x, got, want)
+
+
+class TestJobsInvariance:
+    """Candidates scored over worker processes give the serial trace exactly."""
+
+    @staticmethod
+    def same_trace(data, tag, cfg, **kw):
+        serial = select_bandwidth(data, tag, cfg, jobs=1, **kw)
+        fanned = select_bandwidth(data, tag, cfg, jobs=2, **kw)
+        assert fanned.criterion.tobytes() == serial.criterion.tobytes()
+        assert fanned.chosen_h == serial.chosen_h
+        assert fanned.failures == serial.failures
+        return serial
+
+    def test_individual(self):
+        people = sample_dgp(get_dgp("d2"), 400, np.random.default_rng(5))
+        self.same_trace(people, Estimator.INDIVIDUAL, FitConfig(p=1, h=1.0))
+
+    def test_average_with_random_pools(self):
+        pooled = random_pooled(seed=9, n=300, c=3)
+        self.same_trace(pooled, Estimator.AVERAGE, FitConfig(p=1, h=1.0))
+
+    def test_product_with_failing_narrow_candidates(self):
+        pooled = random_pooled(seed=10, n=120, c=2)
+        trace = self.same_trace(pooled, Estimator.PRODUCT, FitConfig(p=1, h=1.0),
+                                grid=default_h_grid(pooled.x_flat, n=12))
+        failed_h = {f.h for f in trace.failures}
+        assert np.isnan(trace.criterion[0]) and trace.h_grid[0] in failed_h
+        assert np.isfinite(trace.criterion).any()
+        assert len(trace.failures) > len(failed_h)
+
+    @pytest.mark.parametrize("criterion", ["pseudo", "pool"])
+    def test_marginal(self, criterion):
+        pooled = random_pooled(seed=11, n=300, c=3)
+        self.same_trace(pooled, Estimator.MARGINAL, FitConfig(p=1, h=1.0),
+                        criterion=criterion)
+
+
 class TestDefaultGrid:
     def test_shape_and_endpoints(self):
         x = np.linspace(0, 1, 51)

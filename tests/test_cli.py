@@ -62,6 +62,28 @@ def test_import_loads_no_scipy(tmp_path):
         assert (tmp_path / name / "theory.csv").exists()
 
 
+def test_cv_fit_loads_no_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call, 10-15 ms per process;
+    # the CV trimming bounds are computed without it
+    make_data_files(tmp_path)
+    cfg = write_cfg(tmp_path, (
+        f"pools = {tmp_path / 'pools.csv'}\n"
+        f"members = {tmp_path / 'members.csv'}\n"
+        "estimators = marginal\np = 1\ncv = true\n"
+    ))
+    argv = ["fit", "--config", cfg, "--out", str(tmp_path / "fit"), "--jobs", "1"]
+    code = (
+        "import sys\n"
+        "from poolreg import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "fit" / "cv_trace.csv").exists()
+
+
 def test_benchmark_wrapped_names_resolve():
     # the benchmark's tracer (--trace 1) wraps these names and skips any it
     # cannot find, so a rename would silently drop a layer from its report
@@ -179,7 +201,8 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("replications = 2",
                                                        "replications = 4"))
         a, b = tmp_path / "serial", tmp_path / "fan"
-        assert run_cli("simulate", "--config", cfg, "--out", str(a)).returncode == 0
+        assert run_cli("simulate", "--config", cfg, "--out", str(a),
+                       "--jobs", "1").returncode == 0
         proc = run_cli("simulate", "--config", cfg, "--out", str(b), "--jobs", "4")
         assert proc.returncode == 0, proc.stderr
         assert (a / "replications.csv").read_bytes() == (b / "replications.csv").read_bytes()
@@ -279,11 +302,41 @@ class TestFit:
         proc = run_cli("fit", "--config", cfg, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         header, rows = read_rows(out / "cv_trace.csv")
-        assert header == ["h", "criterion", "valid"]
+        assert header == ["h", "criterion", "valid", "failed_folds"]
         assert len(rows) >= 10
         header, rows = read_rows(out / "pseudo.csv")
         assert header == ["pool_id", "R"]
         assert len(rows) == 40
+
+    @pytest.mark.parametrize("command, estimator, files", [
+        ("fit", "marginal", ("curve.csv", "cv_trace.csv", "pseudo.csv")),
+        ("bandwidth", "product", ("cv_trace.csv",)),
+    ])
+    def test_cv_outputs_independent_of_jobs_and_blas_threads(
+            self, tmp_path, command, estimator, files):
+        # narrow candidates fail folds here, so failed_folds is exercised too
+        make_data_files(tmp_path)
+        cfg = write_cfg(tmp_path, (
+            f"pools = {tmp_path / 'pools.csv'}\n"
+            f"members = {tmp_path / 'members.csv'}\n"
+            f"estimators = {estimator}\np = 1\ncv = true\n"
+            "grid_min = -0.5\ngrid_max = 0.5\ngrid_count = 5\n"
+        ))
+        runs = {"jobs1": (["--jobs", "1"], {}), "jobs2": (["--jobs", "2"], {}),
+                "blas1": ([], {"OPENBLAS_NUM_THREADS": "1"}),
+                "blas2": ([], {"OPENBLAS_NUM_THREADS": "2"})}
+        for name, (flags, env) in runs.items():
+            proc = subprocess.run(
+                RUN + [command, "--config", cfg, "--out", str(tmp_path / name), *flags],
+                capture_output=True, text=True, env={**os.environ, **env},
+            )
+            assert proc.returncode == 0, proc.stderr
+        _, rows = read_rows(tmp_path / "jobs1" / "cv_trace.csv")
+        assert any(int(failed) > 0 for *_, failed in rows)
+        for file in files:
+            want = (tmp_path / "jobs1" / file).read_bytes()
+            for name in runs:
+                assert (tmp_path / name / file).read_bytes() == want, (name, file)
 
     def test_out_of_support_point_is_flagged_not_fatal(self, tmp_path):
         make_data_files(tmp_path)
@@ -329,8 +382,11 @@ class TestBandwidth:
         assert proc.stdout.startswith("chosen_h = ")
         chosen = float(proc.stdout.split("=")[1])
         _, rows = read_rows(out / "cv_trace.csv")
-        valid = [(float(c), float(h)) for h, c, ok in rows if ok == "1"]
+        valid = [(float(c), float(h)) for h, c, ok, _ in rows if ok == "1"]
         assert min(valid)[1] == chosen
+        # a candidate is invalid exactly when some of its folds failed
+        assert all((ok == "1") == (failed == "0") for *_, ok, failed in rows)
+        assert any(failed != "0" for *_, failed in rows)
 
 
 THEORY_CFG = """\
