@@ -105,23 +105,27 @@ class CvTrace:
             object.__setattr__(self, name, arr)
 
 
-def trim_bounds_for(x_values: np.ndarray) -> tuple[float, float]:
-    """Central 95 percent of the covariate sample.
+def _quantiles(x: np.ndarray, levels) -> list:
+    """np.quantile's default 'linear' points of x, sorted along axis 0, bit for bit.
 
-    These are np.quantile's default 'linear' points, bit for bit: its virtual
-    index (n - 1) q and its two-sided lerp, from one sort. np.quantile itself
-    imports numpy.ma on its first call.
+    Its virtual index (n - 1) q and two-sided lerp (one value: x[-1] twice),
+    without the numpy.ma import of np.quantile's first call.
     """
-    x = np.sort(np.asarray(x_values, dtype=float).ravel())
-    last = x.size - 1
-    bounds = []
-    for q in (0.025, 0.975):
+    last = x.shape[0] - 1
+    out = []
+    for q in levels:
         v = last * q
-        j = min(math.floor(v), last - 1)  # one value: numpy reads x[-1] twice, t = 1
-        a, b = float(x[j]), float(x[j + 1])
+        j = min(math.floor(v), last - 1)
+        a, b = x[j], x[j + 1]
         t, d = v - j, b - a
-        bounds.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
-    return bounds[0], bounds[1]
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out
+
+
+def trim_bounds_for(x_values: np.ndarray) -> tuple[float, float]:
+    """Central 95 percent of the covariate sample, as np.quantile gives it."""
+    lo, hi = _quantiles(np.sort(np.asarray(x_values, dtype=float).ravel()), (0.025, 0.975))
+    return float(lo), float(hi)
 
 
 def default_h_grid(x_values, n: int = 30) -> np.ndarray:

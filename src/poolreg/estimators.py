@@ -67,6 +67,10 @@ or when rcond, the ratio of the smallest to the largest singular value of
 the h-scaled normal matrix, is below FitConfig.rcond_min. Failures are
 reported (NaN and a failure flag over a grid, SingularLocalSystem from the
 single-point fit_* functions), never papered over with regularization.
+Cyclic Jacobi rotations decompose every normal matrix of a call at once,
+A = V diag(lam) V^T, giving the singular values |lam| as accurately as
+LAPACK (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) and
+beta = V diag(1/lam) V^T b, with no LAPACK call.
 """
 
 from __future__ import annotations
@@ -216,6 +220,9 @@ _CHUNK = 64
 # when a call takes the running sums; see the module docstring
 _RUNNING_MIN, _RUNNING_BASE = 48, 65536
 
+# cap on the Jacobi sweeps of one solve; q <= 6 settles in far fewer
+_SWEEPS = 30
+
 
 def _unit_design(
     x: np.ndarray, grid: np.ndarray, cfg: FitConfig
@@ -270,23 +277,23 @@ def _normal_sums(
 ) -> np.ndarray:
     """[A | b] with A = sum w D D^T and b = sum w D y over the last axis, D = (1, powers).
 
-    Every entry is a plain row sum of an elementwise product, so its
-    summation order is fixed by the array shape alone. resp broadcasts
-    against w.
+    One plane per entry, (q, q + 1, points). Every entry is a plain row sum
+    of an elementwise product, so its summation order is fixed by the
+    array shape alone. resp broadcasts against w.
     """
     q = len(powers) + 1
-    Ab = np.empty((w.shape[0], q, q + 1))
+    Ab = np.empty((q, q + 1, w.shape[0]))
     wd = np.empty_like(w)
     scratch = np.empty_like(w)
     for ell in range(q):
         wd_ell = w if ell == 0 else np.multiply(w, powers[ell - 1], out=wd)
         # D_0 = 1, so row 0 of A holds the plain sums of w D_ell
-        Ab[:, 0, ell] = Ab[:, ell, 0] = wd_ell.sum(axis=1)
-        Ab[:, ell, q] = np.multiply(wd_ell, resp, out=scratch).sum(axis=1)
+        Ab[0, ell] = Ab[ell, 0] = wd_ell.sum(axis=1)
+        Ab[ell, q] = np.multiply(wd_ell, resp, out=scratch).sum(axis=1)
         if ell == 0:
             continue
         for ell2 in range(ell, q):
-            Ab[:, ell, ell2] = Ab[:, ell2, ell] = np.multiply(
+            Ab[ell, ell2] = Ab[ell2, ell] = np.multiply(
                 wd_ell, powers[ell2 - 1], out=scratch
             ).sum(axis=1)
     return Ab
@@ -392,12 +399,58 @@ def _running_sums(
     # first-order rounding per absolute term: u, v and s, the row
     # polynomials and pool means, the running sums, the pieces and Horner
     kappa = (16 * (m + q) + 2 * v.shape[0] + 8) * np.finfo(float).eps
-    out = np.empty((2, points.size, q, q + 1))
+    out = np.empty((2, q, q + 1, points.size))
     for k, (i, j) in enumerate(pairs):
-        out[:, :, i, j] = sums[[k, len(pairs) + k]] * [[const / h], [kappa * const / h]]
+        out[:, i, j] = sums[[k, len(pairs) + k]] * [[const / h], [kappa * const / h]]
         if j < q:
-            out[:, :, j, i] = out[:, :, i, j]
+            out[:, j, i] = out[:, i, j]
     return out[0], out[1]
+
+
+def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (q, n) and eigenvectors (q, q, n) of n symmetric matrices held as planes.
+
+    Cyclic Jacobi rotations over all matrices at once give A = V diag(lam)
+    V^T, V[:, k] the k-th eigenvector. One rotation settles q = 2; larger
+    matrices are swept until every off-diagonal entry is at most
+    eps sqrt|a_ii a_jj|, each later sweep over the unsettled matrices only.
+    """
+    q, n = A.shape[0], A.shape[2]
+    # length-n planes of the upper triangle of [[A, V^T], [V, 0]], so that
+    # rotating its (i, j) plane gives J^T A J and V J alike
+    a = {(i, j): A[i, j].copy() for i in range(q) for j in range(i, q)}
+    a.update({(j, q + i): np.full(n, float(i == j)) for i in range(q) for j in range(q)})
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    todo = np.arange(n)
+    for sweep in range(_SWEEPS if q > 1 else 0):
+        sub = a if sweep == 0 else {key: v[todo] for key, v in a.items()}
+        for i, j in pairs:
+            # the rotation that zeroes a_ij (Golub & Van Loan, sym.schur2);
+            # theta^2 overflows only where t, below 1e-154, may drop to 0
+            aij = sub[i, j]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = (sub[j, j] - sub[i, i]) / (2.0 * aij)
+                t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
+            t[aij == 0.0] = 0.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            sub[i, i], sub[j, j], sub[i, j] = sub[i, i] - t * aij, sub[j, j] + t * aij, 0 * t
+            for k in range(2 * q):
+                if k != i and k != j:
+                    ki, kj = (min(k, i), max(k, i)), (min(k, j), max(k, j))
+                    sub[ki], sub[kj] = c * sub[ki] - s * sub[kj], s * sub[ki] + c * sub[kj]
+        if sweep:
+            for key, v in sub.items():
+                a[key][todo] = v
+        if q == 2:
+            break
+        root = [np.sqrt(np.abs(sub[i, i])) for i in range(q)]
+        todo = todo[np.any([np.abs(sub[i, j]) > np.finfo(float).eps * root[i] * root[j]
+                            for i, j in pairs], axis=0)]
+        if todo.size == 0:
+            break
+    V = [[a[j, q + i] for j in range(q)] for i in range(q)]
+    return np.array([a[i, i] for i in range(q)]), np.array(V)
 
 
 def _solve(
@@ -405,38 +458,38 @@ def _solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve each h-scaled [A | b]: coefficients on the original scale, failures, open points.
 
-    A system fails when it is not finite or when rcond, the ratio of its
-    smallest to its largest singular value, is below rcond_min; failed rows
-    hold NaN. bounds = (E, ymax) bounds the errors [EA | Eb] of [A | b], so
-    the exact singular values lie within e = |EA|_F of the computed ones. A
-    point is left open when that leaves its rcond decision open, when e >
-    s_min / 2, or when |A^-1|_0 (Eb + EA |beta|) / (1 - e / s_min) exceeds
-    1e-12 (|beta_0| + ymax): beta_0 is not determined to 1e-12.
+    Ab holds one plane per entry, (q, q + 1, points); beta comes back as
+    (points, q). _jacobi gives the singular values |lam|, beta and the first
+    row of A^-1. A system fails when it is not finite or when rcond, the
+    ratio of its smallest to its largest singular value, is below
+    rcond_min; failed rows hold NaN. bounds = (E, ymax) bounds the errors
+    [EA | Eb] of [A | b], so the exact singular values lie within e = |EA|_F
+    of the computed ones. A point is left open when that leaves its rcond
+    decision open, when e > s_min / 2, or when |A^-1|_0 (Eb + EA |beta|) /
+    (1 - e / s_min) exceeds 1e-12 (|beta_0| + ymax): beta_0 is not
+    determined to 1e-12.
     """
-    E, ymax = bounds if bounds else (np.zeros_like(Ab), 0.0)
-    A, b, EA, Eb = Ab[..., :-1], Ab[..., -1], E[..., :-1], E[..., -1]
-    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    # A is symmetric, so its singular values are its absolute eigenvalues;
-    # eigvalsh finds them in about a third of the time svd takes
-    s = np.sort(np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], A, 0.0))))
-    e = np.sqrt((EA * EA).sum(axis=(1, 2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        passes = finite & ((s[:, 0] - e) / (s[:, -1] + e) >= cfg.rcond_min)
-        fails = finite & (s[:, -1] > e) & ((s[:, 0] + e) / (s[:, -1] - e) < cfg.rcond_min)
-    left_open = ~(passes | fails)
-    ok = np.flatnonzero(passes)
-    beta = np.full(b.shape, np.nan)
-    beta[ok] = np.linalg.solve(A[ok], b[ok, :, None])[..., 0]
-    if bounds:
-        # the first row of A^-1, A being symmetric
-        row = np.abs(np.linalg.solve(A[ok], np.eye(A.shape[1])[:, :1])[..., 0])
-        with np.errstate(invalid="ignore"):
-            drift = (row * (Eb[ok] + (EA[ok] @ np.abs(beta[ok, :, None]))[..., 0])).sum(axis=1)
-        near = e[ok] / s[ok, 0]
-        tol = 1e-12 * (1.0 - near) * (np.abs(beta[ok, 0]) + ymax)
-        left_open[ok] = (near > 0.5) | ~(drift <= tol)
-    beta /= cfg.h ** np.arange(A.shape[1])
-    return beta, ~passes, left_open
+    q, b = Ab.shape[0], Ab[:, -1]
+    finite = np.isfinite(Ab).all(axis=(0, 1))
+    lam, V = _jacobi(np.where(finite, Ab[:, :-1], 0.0))
+    s_min, s_max = np.abs(lam).min(axis=0), np.abs(lam).max(axis=0)
+    e = np.sqrt((bounds[0][:, :-1] ** 2).sum(axis=(0, 1))) if bounds else 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        passes = finite & ((s_min - e) / (s_max + e) >= cfg.rcond_min)
+        fails = finite & (s_max > e) & ((s_min + e) / (s_max - e) < cfg.rcond_min)
+        left_open = ~(passes | fails)
+        inv = np.where(passes, 1.0 / lam, np.nan)
+        beta = (V * ((V * b[:, None]).sum(axis=0) * inv)).sum(axis=1)
+        if bounds:
+            E, ymax = bounds
+            # the first row of A^-1, A being symmetric
+            row = np.abs((V * (V[0] * inv)).sum(axis=1))
+            drift = (row * (E[:, -1] + (E[:, :-1] * np.abs(beta)).sum(axis=1))).sum(axis=0)
+            near = e / s_min
+            tol = 1e-12 * (1.0 - near) * (np.abs(beta[0]) + ymax)
+            left_open[passes] = ((near > 0.5) | ~(drift <= tol))[passes]
+    beta /= (cfg.h ** np.arange(q))[:, None]
+    return beta.T, ~passes, left_open
 
 
 def _local_fits(
@@ -546,7 +599,7 @@ def _local_fits(
         # window, -1 outside it; the extra last entry sends the -1 padding
         # of drop to -1 as well
         column = np.full(resp.size + 1, -1)
-    Ab = np.empty((points.size, q, q + 1))
+    Ab = np.empty((q, q + 1, points.size))
     # blocks of up to _CHUNK sorted points, under a compact kernel also cut
     # where more than _CHUNK rows lie between two points (points refit after
     # the running sums, a coarse grid)
@@ -576,10 +629,10 @@ def _local_fits(
             column[rows[0]] = -1
             hit = cols >= 0
             w[np.nonzero(hit)[0], cols[hit]] = 0.0
-        Ab[block] = _normal_sums(powers, w, y)
+        Ab[..., block] = _normal_sums(powers, w, y)
         # free this block's rows before the next block builds its own
         del powers, w, y
-    beta[todo], failed[todo] = _solve(Ab[todo], cfg)[:2]
+    beta[todo], failed[todo] = _solve(Ab[..., todo], cfg)[:2]
     return beta, failed
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bandwidth import _map, select_bandwidth
+from .bandwidth import _map, _quantiles, select_bandwidth
 from .data import (
     Design,
     IndividualDataset,
@@ -534,7 +534,7 @@ def bootstrap_curves(
     failed = np.stack([f for _, f in results])
     mask = failed.any(axis=0)
     mean = values.mean(axis=0)
-    lower, upper = np.quantile(values, [0.05, 0.95], axis=0)
+    lower, upper = _quantiles(np.sort(values, axis=0), (0.05, 0.95))
     mean[mask] = np.nan
     lower[mask] = np.nan
     upper[mask] = np.nan

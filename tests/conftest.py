@@ -3,17 +3,20 @@
 The acceptance suite reports one PASS/FAIL line per criterion. Those lines
 are collected here and echoed in a terminal section at the end of the run,
 so they stay visible even when everything passes and output capture would
-otherwise swallow them. The quad_moment fixture is the quadrature reference
-that the closed-form kernel moments are checked against, and the
-average_random_bias_closed_p0 fixture an independent short form of the
-average-weighted bias that the general expansion is checked against.
+otherwise swallow them. The same records (slug, ok, detail) go to the
+pytest cache under poolreg/acceptance (.pytest_cache/v/poolreg/acceptance
+by default) when the cache plugin is on. The quad_moment fixture is the
+quadrature reference that the closed-form kernel moments are checked
+against, and the average_random_bias_closed_p0 fixture an independent short
+form of the average-weighted bias that the general expansion is checked
+against.
 """
 
 import os
 
 import pytest
 
-_ACCEPTANCE_LINES = []
+_ACCEPTANCE = []
 
 
 @pytest.fixture
@@ -21,9 +24,9 @@ def accept():
     """Report a criterion outcome: prints, records, then asserts."""
 
     def report(slug: str, ok: bool, detail: str) -> None:
-        line = f"[ACCEPT] {slug}: {'PASS' if ok else 'FAIL'} ({detail})"
+        line = _line(slug, ok, detail)
         print(line)
-        _ACCEPTANCE_LINES.append(line)
+        _ACCEPTANCE.append({"slug": slug, "ok": bool(ok), "detail": detail})
         assert ok, line
 
     return report
@@ -81,8 +84,18 @@ def pytest_configure(config):
         os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
 
+def _line(slug: str, ok: bool, detail: str) -> str:
+    return f"[ACCEPT] {slug}: {'PASS' if ok else 'FAIL'} ({detail})"
+
+
+def pytest_sessionfinish(session):
+    cache = getattr(session.config, "cache", None)  # None under -p no:cacheprovider
+    if _ACCEPTANCE and cache is not None:
+        cache.set("poolreg/acceptance", _ACCEPTANCE)
+
+
 def pytest_terminal_summary(terminalreporter):
-    if _ACCEPTANCE_LINES:
+    if _ACCEPTANCE:
         terminalreporter.section("acceptance criteria")
-        for line in _ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)
+        for record in _ACCEPTANCE:
+            terminalreporter.write_line(_line(**record))

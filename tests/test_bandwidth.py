@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poolreg.bandwidth import CvTrace, default_h_grid, select_bandwidth, trim_bounds_for
+from poolreg.bandwidth import (
+    CvTrace, _quantiles, default_h_grid, select_bandwidth, trim_bounds_for,
+)
 from poolreg import estimators
 from poolreg.data import (
     Design,
@@ -329,6 +331,19 @@ class TestTrimBounds:
             got = np.array(trim_bounds_for(x))
             assert got.tobytes() == want.tobytes(), (x, got, want)
 
+    @pytest.mark.parametrize("b", [2, 3, 20, 1000])
+    def test_bands_equal_numpy_quantile_bit_for_bit(self, b):
+        # the bootstrap's 5 and 95 percent bands, column by column over a
+        # (resamples, grid) array: spread, heavily tied, rounded and constant
+        rng = np.random.default_rng(b)
+        values = np.column_stack([
+            rng.normal(size=b), rng.normal(size=b) * 1e-300, rng.integers(0, 3, b).astype(float),
+            np.round(rng.normal(size=b), 1), np.full(b, 1.75), np.full(b, -0.0),
+        ])
+        want = np.quantile(values, [0.05, 0.95], axis=0)
+        got = np.array(_quantiles(np.sort(values, axis=0), (0.05, 0.95)))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestJobsInvariance:
     """Candidates scored over worker processes give the serial trace exactly."""
@@ -419,6 +434,38 @@ class TestExactFolds:
         np.testing.assert_allclose(trace.criterion, want, rtol=1e-9)
 
 
+def eigvalsh_solve(Ab, cfg, bounds=None):
+    """The LAPACK solve that the Jacobi rotations replaced, kept as an oracle.
+
+    rcond from eigvalsh, beta and the first row of A^-1 from batched
+    np.linalg.solve, with the open-point rule of estimators._solve and its
+    contract: [A | b] and its bound as (q, q + 1, points) planes in,
+    coefficients (points, q) on the original scale, failures and open points out.
+    """
+    Ab = np.moveaxis(Ab, -1, 0)
+    E, ymax = (np.moveaxis(bounds[0], -1, 0), bounds[1]) if bounds else (np.zeros_like(Ab), 0.0)
+    A, b, EA, Eb = Ab[..., :-1], Ab[..., -1], E[..., :-1], E[..., -1]
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    s = np.sort(np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], A, 0.0))))
+    e = np.sqrt((EA * EA).sum(axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        passes = finite & ((s[:, 0] - e) / (s[:, -1] + e) >= cfg.rcond_min)
+        fails = finite & (s[:, -1] > e) & ((s[:, 0] + e) / (s[:, -1] - e) < cfg.rcond_min)
+    left_open = ~(passes | fails)
+    ok = np.flatnonzero(passes)
+    beta = np.full(b.shape, np.nan)
+    beta[ok] = np.linalg.solve(A[ok], b[ok, :, None])[..., 0]
+    if bounds:
+        row = np.abs(np.linalg.solve(A[ok], np.eye(A.shape[1])[:, :1])[..., 0])
+        with np.errstate(invalid="ignore"):
+            drift = (row * (Eb[ok] + (EA[ok] @ np.abs(beta[ok, :, None]))[..., 0])).sum(axis=1)
+        near = e[ok] / s[ok, 0]
+        tol = 1e-12 * (1.0 - near) * (np.abs(beta[ok, 0]) + ymax)
+        left_open[ok] = (near > 0.5) | ~(drift <= tol)
+    beta /= cfg.h ** np.arange(A.shape[1])
+    return beta, ~passes, left_open
+
+
 class TestRunningSumParity:
     """CV through the running sums matches CV on the block path alone."""
 
@@ -457,6 +504,26 @@ class TestRunningSumParity:
         assert got.failures == want.failures
         np.testing.assert_array_equal(np.isnan(got.criterion), np.isnan(want.criterion))
         np.testing.assert_allclose(got.criterion, want.criterion, rtol=1e-9)
+
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_same_decisions_as_the_lapack_solve(self, study, monkeypatch, p):
+        people, pooled = study
+        cfg = FitConfig(p=p, h=1.0)
+        for tag, criterion in [
+            (Estimator.INDIVIDUAL, "pool"), (Estimator.AVERAGE, "pool"),
+            (Estimator.PRODUCT, "pool"), (Estimator.MARGINAL, "pseudo"),
+            (Estimator.MARGINAL, "pool"),
+        ]:
+            data = people if tag is Estimator.INDIVIDUAL else pooled
+            got = select_bandwidth(data, tag, cfg, criterion=criterion)
+            with monkeypatch.context() as patched:
+                patched.setattr(estimators, "_solve", eigvalsh_solve)
+                want = select_bandwidth(data, tag, cfg, criterion=criterion)
+            assert got.chosen_h == want.chosen_h, (tag, criterion)
+            assert got.failures == want.failures, (tag, criterion)
+            np.testing.assert_array_equal(np.isnan(got.criterion), np.isnan(want.criterion))
+            np.testing.assert_allclose(got.criterion, want.criterion, rtol=1e-6)
 
 
 class TestMemory:

@@ -62,6 +62,19 @@ def test_import_loads_no_scipy(tmp_path):
         assert (tmp_path / name / "theory.csv").exists()
 
 
+def numpy_ma_modules(argv):
+    """The numpy.ma modules loaded once cli.main(argv) has run in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from poolreg import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cv_fit_loads_no_numpy_ma(tmp_path):
     # np.quantile imports numpy.ma on its first call, 10-15 ms per process;
     # the CV trimming bounds are computed without it
@@ -72,16 +85,22 @@ def test_cv_fit_loads_no_numpy_ma(tmp_path):
         "estimators = marginal\np = 1\ncv = true\n"
     ))
     argv = ["fit", "--config", cfg, "--out", str(tmp_path / "fit"), "--jobs", "1"]
-    code = (
-        "import sys\n"
-        "from poolreg import cli\n"
-        f"assert cli.main({argv!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert numpy_ma_modules(argv) == "[]"
     assert (tmp_path / "fit" / "cv_trace.csv").exists()
+
+
+def test_bootstrap_loads_no_numpy_ma(tmp_path):
+    # the 5 and 95 percent bands come from one sort, not np.quantile
+    make_data_files(tmp_path)
+    cfg = write_cfg(tmp_path, (
+        f"pools = {tmp_path / 'pools.csv'}\n"
+        f"members = {tmp_path / 'members.csv'}\n"
+        "estimators = average\np = 1\ncv = true\nreplications = 20\nseed = 4\n"
+        "grid_min = -0.5\ngrid_max = 0.5\ngrid_count = 5\n"
+    ))
+    argv = ["bootstrap", "--config", cfg, "--out", str(tmp_path / "boot"), "--jobs", "1"]
+    assert numpy_ma_modules(argv) == "[]"
+    assert (tmp_path / "boot" / "bands.csv").exists()
 
 
 def test_benchmark_wrapped_names_resolve():

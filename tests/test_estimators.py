@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
@@ -27,6 +29,7 @@ from poolreg.estimators import (
     fit_product_weighted,
 )
 from poolreg import estimators
+from poolreg.bandwidth import select_bandwidth
 from poolreg.estimators import _local_fits, _pool_design
 from poolreg.kernels import KernelKind, kernel_eval
 from poolreg.simulation import get_dgp, sample_dgp
@@ -262,6 +265,128 @@ class TestSolverAgainstBruteForce:
         fit = fit_marginal_integration(pooled, cfg, x0)
         brute = minimize_objective(q_marginal, p, pooled, cfg, x0)
         np.testing.assert_allclose(fit.beta, brute, atol=1e-6)
+
+
+EPS = np.finfo(float).eps
+
+
+def random_systems(q, rng, count=300):
+    """Symmetric [A | b] as (q, q + 1, count) planes, A = Q diag(lam) Q^T.
+
+    In turn: definite, indefinite, rank deficient (one lam exactly 0),
+    graded like a moment matrix (D A D, D spanning 8 decades) and scaled by
+    1e-150, 1 or 1e150. rcond spans 1 down to 1e-16; then come an empty
+    system, two non-finite ones and diagonal ones with rcond 1e-9 relative
+    off the default rcond_min on either side.
+    """
+    out = []
+    for k in range(count):
+        Q = np.linalg.qr(rng.normal(size=(q, q)))[0]
+        lo = rng.uniform(-16, 0)
+        lam = 10.0 ** np.r_[0.0, rng.uniform(lo, 0, q - 2), lo][:q] if q > 1 else np.ones(1)
+        if k % 5 == 1:
+            lam *= rng.choice([-1.0, 1.0], q)
+        if k % 5 == 2 and q > 1:
+            lam[rng.integers(1, q)] = 0.0
+        A = (Q * lam) @ Q.T
+        if k % 5 == 3:
+            d = 10.0 ** rng.uniform(-4, 4, q)
+            A = d[:, None] * A * d
+        scale = 10.0 ** rng.choice([-150, 0, 150]) if k % 5 == 4 else 1.0
+        out.append(np.c_[(A + A.T) / 2, rng.normal(size=q)] * scale)
+    bad = np.ones((q, q + 1))
+    out += [np.zeros((q, q + 1)), bad * np.nan, bad * np.inf]
+    if q > 1:
+        for r in (1e-12 * (1 + 1e-9), 1e-12 * (1 - 1e-9)):
+            out.append(np.c_[np.diag(np.r_[1.0, np.full(q - 1, r)]), np.ones(q)])
+    return np.moveaxis(np.array(out), 0, -1)
+
+
+def oracle_solve(Ab):
+    """eigvalsh for rcond and lstsq for beta, one system at a time."""
+    rcond, beta = [], []
+    for system in np.moveaxis(Ab, -1, 0):
+        A, b = system[:, :-1], system[:, -1]
+        if not np.isfinite(system).all():
+            rcond.append(np.nan)
+            beta.append(np.full(b.size, np.nan))
+            continue
+        s = np.abs(np.linalg.eigvalsh(A))
+        rcond.append(s.min() / s.max() if s.max() > 0 else np.nan)
+        beta.append(np.linalg.lstsq(A, b, rcond=None)[0])
+    return np.array(rcond), np.array(beta)
+
+
+class TestPlanarSolve:
+    """_solve and _jacobi on random systems of every order the engine meets."""
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_against_eigvalsh_and_lstsq(self, q):
+        Ab = random_systems(q, np.random.default_rng(q))
+        cfg = FitConfig(p=q - 1, h=1.0)
+        beta, failed, _ = estimators._solve(Ab, cfg)
+        rcond, want = oracle_solve(Ab)
+        passes = rcond >= cfg.rcond_min
+        assert np.isnan(rcond).sum() == 3 and failed[np.isnan(rcond)].all()
+        decided = np.isnan(rcond) | (np.abs(rcond / cfg.rcond_min - 1) > 1e-10)
+        assert decided.all()
+        np.testing.assert_array_equal(failed, ~passes)
+        assert passes.any() and (~passes & ~np.isnan(rcond)).any() == (q > 1)
+        assert np.isnan(beta[failed]).all() and np.isfinite(beta[passes]).all()
+        scale = np.abs(want[passes]).max(axis=1) * EPS / rcond[passes]
+        err = np.abs(beta[passes] - want[passes]).max(axis=1)
+        assert (err <= 8 * q * scale).all()
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_decomposition_within_the_sweep_cap(self, q, monkeypatch):
+        A = random_systems(q, np.random.default_rng(10 + q))[:, :-1]
+        A = A[..., np.isfinite(A).all(axis=(0, 1))]
+        lam, V = estimators._jacobi(A)
+        A, V, lam = np.moveaxis(A, -1, 0), np.moveaxis(V, -1, 0), lam.T
+        norm = np.linalg.norm(A, axis=(1, 2))
+        residual = np.linalg.norm(A @ V - V * lam[:, None], axis=(1, 2))
+        assert (residual <= 8 * q * EPS * norm).all()
+        orthogonal = np.linalg.norm(np.swapaxes(V, 1, 2) @ V - np.eye(q), axis=(1, 2))
+        assert (orthogonal <= 8 * q * EPS).all()
+        # every system settles within 10 sweeps, far below the cap
+        monkeypatch.setattr(estimators, "_SWEEPS", 10)
+        capped = estimators._jacobi(np.moveaxis(A, 0, -1))
+        np.testing.assert_array_equal(capped[0], lam.T)
+        np.testing.assert_array_equal(capped[1], np.moveaxis(V, 0, -1))
+
+    def test_fits_make_no_linalg_call(self, monkeypatch):
+        # the engine solves with its own rotations: with every numpy.linalg
+        # function raising, CV (running sums and blocks) and curves still run
+        assert "linalg" not in inspect.getsource(estimators)
+        rng = np.random.default_rng(8)
+        people = sample_dgp(get_dgp("d1"), 600, rng)
+        pooled = pool_random(people, 2, rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in dir(np.linalg):
+            function = getattr(np.linalg, name)
+            if callable(function) and not isinstance(function, type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(AssertionError):
+            np.linalg.solve(np.eye(2), np.ones(2))
+        solve, bounded = estimators._solve, []
+
+        def spy(Ab, cfg, bounds=None):
+            bounded.append(bounds is not None)
+            return solve(Ab, cfg, bounds)
+
+        monkeypatch.setattr(estimators, "_solve", spy)
+        for tag in Estimator:
+            data = people if tag is Estimator.INDIVIDUAL else pooled
+            for p in (0, 1, 2):
+                cfg = FitConfig(p=p, h=0.3)
+                trace = select_bandwidth(data, tag, cfg, grid=[0.05, 0.3, 1.5])
+                assert np.isfinite(trace.criterion).any()
+                curve = estimate_curve(tag, data, cfg, np.linspace(-2, 2, 41))
+                assert np.isfinite(curve.values).any()
+        assert any(bounded) and not all(bounded)  # running sums and blocks
 
 
 # reordering or rescaling changes only the rounding of the normal sums,

@@ -1,6 +1,10 @@
-"""The package root: its public names and the README's library quick start."""
+"""The package root: its public names, the README's library quick start and
+the acceptance records its Tests section points to."""
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import poolreg
@@ -41,3 +45,19 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_acceptance_records_land_in_the_pytest_cache(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "pytest", "-q",
+            "tests/test_acceptance.py::test_c08_kernel_moments"]
+    proc = subprocess.run(argv + ["-o", f"cache_dir={tmp_path}"],
+                          capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    path = tmp_path / "v" / "poolreg" / "acceptance"
+    records = json.loads(path.read_text())
+    assert [(r["slug"], r["ok"]) for r in records] == [("kernel moments", True)]
+    assert records[0]["detail"] in proc.stdout
+    # without the cache plugin the run passes as before
+    proc = subprocess.run(argv + ["-p", "no:cacheprovider"], capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
