@@ -21,44 +21,45 @@ w: unit rows t^ell with t = (X - x)/h and weights K_h(X - x), or pool rows
 holding the member averages of t^ell with the average or the product of the
 member weights. The engine forms the normal sums A = sum_r w D D^T and
 b = sum_r w D y as plain row sums and solves A beta = b. A cross-validation
-fold leaves rows out (one record, one pool, or a whole pool's member rows) by
-giving them weight zero before the sums are formed, so a fold fit is the
-same computation as a plain fit on the data without those rows.
+fold leaves rows out (one record, one pool, or a whole pool's member rows)
+before the sums are formed, so a fold fit is the same computation as a
+plain fit on the data without those rows.
 
 The sums only visit rows inside the kernel window. The engine sorts the
-evaluation points and the member covariates once per call and walks the
-sorted points in blocks of a fixed size. A block whose points run from g to
-g' reads the contiguous slice of sorted members in [g - h, g' + h], widened
-by a few ulps: every member outside it has weight exactly zero under a
-compact kernel, and a block also ends where more rows than a block holds
-points lie between two of its points. Unit rows are the records of the
-slice; pool rows are every pool with a member in the slice, in ascending
-pool order, built from the padded member table so that members outside the
-slice still enter the pool averages. Time and memory per block are then of
-order block size times window, not the number of points times the number
-of rows. The Gaussian kernel has no window: its blocks read every row,
-which bounds the memory but not the time.
+points and the member covariates once per call and finds each point's
+window [L, R), the sorted members of nonzero weight, by binary search. Its
+rows are exact: the records in the window; the pools with a member in it,
+each once, for average weights; the pools with every member in it for
+product weights, taken from the pools sorted by last member (a contiguous
+range) by their first member. One flat pass over the (point, row) pairs, in
+chunks of 8192, builds the rows and forms each entry of [A | b] as a
+segment sum per point, so its summation order is fixed by the data alone.
+Time is of order the number of pairs, memory of order the chunk. The
+Gaussian kernel has no window: it pairs every point with every row.
 
 Wide windows of the polynomial kernels (Epanechnikov, quartic, triweight)
-use running sums instead, for unit rows and average pool rows; product
-weights, tricube and Gaussian stay on the blocks. The sorted rows are cut
-into segments of width h/2 anchored at their centres. With s = (anchor -
-x)/h, a row adds to each entry of A and b a polynomial in s: its weight
-(1 - (s + u)^2)^m / c_j times the pool means of (s + v)^ell, u and v being
-its own and its members' (X - anchor)/h. Compensated running sums of those
-coefficients, restarted at every segment, give a window as at most five
-segment pieces, each evaluated at its own s; a fold's rows are built by
-the row builders and subtracted. Each point carries a first-order bound on
-the rounding of its A and b and goes back to the blocks when its count of
-nonzero-weight rows is below p + 1, when the bound leaves its rcond
-decision open, or when it leaves beta_0 undetermined to 1e-12 of
-|beta_0| + max |y|. A call takes the running sums when its windows hold
-more than 48 rows per row and point plus 65,536, pool rows of largest size
-c counting c^2 per member. CV passes timed on both paths at every candidate
-h (CHANGES.md) put that line within noise of the faster path: a running
-pass costs about 5 ms at n = 600, 15 ms at n = 3000, 65 ms at n = 12,000
-and 0.35 s at n = 48,000 whatever h, and loses to the blocks on narrow
-windows, where the bound leaves many points to refit.
+use running sums instead, for unit rows, average pool rows and product
+pool rows when every pool holds c consecutive sorted members (homogeneous
+pooling) and 2mc <= 8; tricube, the Gaussian kernel and other product
+weights stay on the flat pass. The sorted rows are cut into segments of
+width h/2 anchored at their centres. With s = (anchor - x)/h, a row adds
+to each entry of A and b a polynomial in s: its weight (1 - (s + u)^2)^m /
+c_j, or the product of (1 - (s + v)^2)^m over its members for a product
+row placed at its last member, times the pool means of (s + v)^ell, u and
+v being its own and its members' (X - anchor)/h. Compensated running sums
+of those coefficients, restarted at every segment, give a window as at
+most five segment pieces, each evaluated at its own s; a fold's rows are
+built by the row builders and subtracted. Each point carries a first-order
+bound on the rounding of its A and b and goes back to the flat pass when
+its count of nonzero-weight rows is below p + 1, when the bound leaves its
+rcond decision open, or when it leaves beta_0 undetermined to 1e-12 of
+|beta_0| + max |y|. A call takes the running sums when its flat pass would
+build more than 50 member rows per row and point plus 16,384 (a pool row
+of largest size c counting c). CV passes timed on both paths at every
+candidate h (CHANGES.md) put that line near where they cross: a running
+pass costs about 2.5-4 ms at n = 600 and 8-12 ms at n = 3000 whatever h,
+a flat pass about 35 ns per member row, and the running sums lose on
+narrow windows, where the bound leaves many points to refit.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -212,13 +213,12 @@ def build_pseudo_data(data: PooledDataset) -> PseudoData:
     return PseudoData(mu_hat=mu_hat, r=r, source=data)
 
 
-# evaluation points per block; a block's arrays hold this many points times
-# its window. CV at n = 600 and n = 3000 on a 2-core x86 host ran fastest
-# with 48-64 points (16-32 and 96-512 were slower)
-_CHUNK = 64
-
 # when a call takes the running sums; see the module docstring
-_RUNNING_MIN, _RUNNING_BASE = 48, 65536
+_RUNNING_MIN, _RUNNING_BASE = 50, 16384
+
+# pairs per chunk of the flat pass: its arrays stay in cache and below
+# malloc's mmap threshold (see CHANGES.md)
+_PAIRS = 1 << 13
 
 # cap on the Jacobi sweeps of one solve; q <= 6 settles in far fewer
 _SWEEPS = 30
@@ -242,23 +242,23 @@ def _unit_design(
 
 
 def _pool_design(
-    members: np.ndarray, pad: np.ndarray, sizes: np.ndarray, grid: np.ndarray,
-    cfg: FitConfig, product: bool,
+    members: np.ndarray, sizes: np.ndarray, grid: np.ndarray, cfg: FitConfig, product: bool,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Pool rows: member averages of the unit rows over the first axis.
 
     members holds one slab of member covariates per slot of the member
-    table, pad marks the padding, and every slab broadcasts against grid.
-    The pool weight is the average of the member kernel weights, or their
+    table, NaN for padding, and every slab broadcasts against grid. The
+    pool weight is the average of the member kernel weights, or their
     product for the product-weighted estimator. Padding adds 0 to every
-    average and 1 to the product.
+    average and 1 to the product; the slabs are reduced one by one.
     """
+    pad = np.isnan(members)
     t = members - grid
     t /= cfg.h
     k = kernel_eval(cfg.kernel, t)
     k /= cfg.h
     np.copyto(k, 1.0 if product else 0.0, where=pad)
-    w = k.prod(axis=0) if product else k.sum(axis=0) / sizes
+    w = math.prod(k) if product else sum(k) / sizes
     del k
     np.copyto(t, 0.0, where=pad)
     powers = []
@@ -268,34 +268,75 @@ def _pool_design(
             power = t * t
         elif ell > 1:
             power *= t
-        powers.append(power.sum(axis=0) / sizes)
+        powers.append(sum(power) / sizes)
     return powers, w
 
 
 def _normal_sums(
-    powers: list[np.ndarray], w: np.ndarray, resp: np.ndarray
+    powers: list[np.ndarray], w: np.ndarray, resp: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """[A | b] with A = sum w D D^T and b = sum w D y over the last axis, D = (1, powers).
+    """[A | b] with A = sum w D D^T and b = sum w D y per segment of the pairs, D = (1, powers).
 
-    One plane per entry, (q, q + 1, points). Every entry is a plain row sum
-    of an elementwise product, so its summation order is fixed by the
-    array shape alone. resp broadcasts against w.
+    One plane per entry, (q, q + 1, segments); segment k holds the pairs
+    from starts[k] up to the next start, and none is empty. Every entry is
+    an np.add.reduceat of an elementwise product, so its summation order is
+    fixed by the pairs alone.
     """
     q = len(powers) + 1
-    Ab = np.empty((q, q + 1, w.shape[0]))
+    Ab = np.empty((q, q + 1, starts.size))
     wd = np.empty_like(w)
     scratch = np.empty_like(w)
     for ell in range(q):
         wd_ell = w if ell == 0 else np.multiply(w, powers[ell - 1], out=wd)
         # D_0 = 1, so row 0 of A holds the plain sums of w D_ell
-        Ab[0, ell] = Ab[ell, 0] = wd_ell.sum(axis=1)
-        Ab[ell, q] = np.multiply(wd_ell, resp, out=scratch).sum(axis=1)
+        Ab[0, ell] = Ab[ell, 0] = np.add.reduceat(wd_ell, starts)
+        Ab[ell, q] = np.add.reduceat(np.multiply(wd_ell, resp, out=scratch), starts)
         if ell == 0:
             continue
         for ell2 in range(ell, q):
-            Ab[ell, ell2] = Ab[ell2, ell] = np.multiply(
-                wd_ell, powers[ell2 - 1], out=scratch
-            ).sum(axis=1)
+            Ab[ell, ell2] = Ab[ell2, ell] = np.add.reduceat(
+                np.multiply(wd_ell, powers[ell2 - 1], out=scratch), starts)
+    return Ab
+
+
+def _pair_sums(
+    grid: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
+    gate: tuple | None, drop: np.ndarray | None, cfg: FitConfig, rows: tuple,
+) -> np.ndarray:
+    """[A | b] at every point grid[i] over its rows lo[i]..hi[i] - 1, in one flat pass.
+
+    rows = (covariates (m,) of unit rows or NaN-padded member covariates
+    (c, m) of pool rows, pool sizes, responses, product). gate = (key,
+    above) keeps the pair of point i and row k only where (key[k] >=
+    bound[i]) == above. A fold leaves out the pairs of the rows drop[i] (-1
+    padded), so a fold fit sums what a fit without those rows sums. Chunks
+    of about _PAIRS pairs bound the memory however wide the windows.
+    """
+    q, (cov, sizes, resp, product) = cfg.p + 1, rows
+    Ab = np.zeros((q, q + 1, grid.size))
+    width = hi - lo
+    before = np.cumsum(width) - width
+    starts = np.flatnonzero(np.diff(before // _PAIRS, prepend=-1))
+    step = np.arange(_PAIRS + width.max(initial=0))
+    for a, b in zip(starts, np.r_[starts[1:], grid.size]):
+        span = before[a:b] - before[a]  # each point's first pair in the chunk
+        k = np.repeat(lo[a:b] - span, width[a:b])
+        k += step[:k.size]
+        kept = np.ones(k.size, dtype=bool) if gate is None else (
+            (gate[0][k] >= np.repeat(bound[a:b], width[a:b])) == gate[1])
+        if drop is not None:
+            hit = drop[a:b]
+            inside = (hit >= lo[a:b, None]) & (hit < hi[a:b, None])
+            kept[(hit + (span - lo[a:b])[:, None])[inside]] = False
+        keep = np.flatnonzero(kept)
+        k, span = k[keep], np.searchsorted(keep, span)
+        count = np.r_[span[1:], keep.size] - span
+        at, some = np.repeat(grid[a:b], count), np.flatnonzero(count)
+        if cov.ndim == 1:
+            powers, w = _unit_design(cov[k], at, cfg)
+        else:
+            powers, w = _pool_design(np.take(cov, k, axis=1), sizes[k], at, cfg, product)
+        Ab[..., a + some] = _normal_sums(powers, w, resp[k], span[some])
     return Ab
 
 
@@ -330,13 +371,15 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _running_sums(
     xs: np.ndarray, mates: np.ndarray, size: np.ndarray, resp: np.ndarray,
-    cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray,
+    cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray, product: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """[A | b] at every point from running sums, and a bound on its rounding error.
 
     Row r has covariate xs[r] (ascending), its pool's member covariates
     mates[:, r] (NaN padded), pool size size[r] and response resp[r]; a unit
-    row is a pool of one. An empty window [L, R) gets zero sums.
+    row is a pool of one. Its weight is the kernel at xs[r] over size[r], or
+    with product the product of its members' kernels (equal pools, no
+    padding). An empty window [L, R) gets zero sums.
     """
     const, m = _POLY_FAMILY[cfg.kernel]
     h, q, n = cfg.h, cfg.p + 1, xs.size
@@ -348,14 +391,19 @@ def _running_sums(
     anchor = xs[0] + (seg[start] + 0.5) * (0.5 * h)
     u = (xs - anchor[gid]) / h
     v = np.nan_to_num((mates - anchor[gid]) / h)
+    # a pool wider than 3h is in no window; its product row is zero, which
+    # keeps its large terms out of the running sums
+    c, reach = (mates.shape[0], v.min(axis=0) >= u - 3.0) if product else (1, None)
     pairs = [(i, j) for i in range(q) for j in range(i, q + 1)]
 
     def row_polys(u, v, resp, sign):
         # each row's terms of [A | b] as polynomials in s, b taking D_q =
-        # resp; sign = 1 with |u|, |v|, |resp| sums their absolute values
-        k = 1.0 / size[None]
-        for _ in range(m):
-            k = _poly_mul(k, np.stack([1.0 + sign * u * u, 2.0 * sign * u, np.full(n, sign)]))
+        # resp; sign = 1 with |u|, |v|, |resp| sums their absolute values.
+        # The weight has a factor (1 - (s + v)^2)^m per member if product
+        k = (reach if product else 1.0 / size)[None]
+        for a in (v if product else [u]):
+            for _ in range(m):
+                k = _poly_mul(k, np.stack([1.0 + sign * a * a, 2.0 * sign * a, np.full(n, sign)]))
         nu = [np.ones(n)] + [(v**ell).sum(axis=0) / size for ell in range(1, q)]
         D = [np.stack([math.comb(ell, g) * nu[ell - g] for g in range(ell + 1)])
              for ell in range(q)] + [resp[None]]
@@ -377,7 +425,7 @@ def _running_sums(
     run -= run[:, before]
     signed += err - err[:, before]
     del cols, err, step, signed
-    first = np.cumsum([0] + [2 * m + i + j + 1 - (j == q) * j for i, j in pairs] * 2)
+    first = np.cumsum([0] + [2 * m * c + i + j + 1 - (j == q) * j for i, j in pairs] * 2)
     sums = np.zeros((2 * len(pairs), points.size))
     g_lo, g_hi = gid[np.minimum(L, n - 1)], np.where(R > L, gid[R - 1], -1)
     for j in range(int((g_hi - g_lo).max(initial=0)) + 1):
@@ -398,10 +446,11 @@ def _running_sums(
             sums[k] += value
     # first-order rounding per absolute term: u, v and s, the row
     # polynomials and pool means, the running sums, the pieces and Horner
-    kappa = (16 * (m + q) + 2 * v.shape[0] + 8) * np.finfo(float).eps
+    kappa = (16 * (m * c + q) + 2 * v.shape[0] + 8) * np.finfo(float).eps
+    scale = float(const / h) ** c
     out = np.empty((2, q, q + 1, points.size))
     for k, (i, j) in enumerate(pairs):
-        out[:, i, j] = sums[[k, len(pairs) + k]] * [[const / h], [kappa * const / h]]
+        out[:, i, j] = sums[[k, len(pairs) + k]] * [[scale], [kappa * scale]]
         if j < q:
             out[:, j, i] = out[:, i, j]
     return out[0], out[1]
@@ -505,8 +554,8 @@ def _local_fits(
 
     drop, when given, holds per evaluation point the indices of the rows left
     out of that point's fit, padded with -1: records for the individual and
-    marginal estimators, pools for the other two. Those rows get weight zero
-    in that point's normal sums. One row per point gives leave-one-out and
+    marginal estimators, pools for the other two. Those rows stay out of
+    that point's normal sums. One row per point gives leave-one-out and
     leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
     order, when given, is the stable argsort of the covariates, for callers
     that fit many bandwidths; it sorts the points too when they are the
@@ -523,116 +572,87 @@ def _local_fits(
         resp = (build_pseudo_data(data) if pseudo is None else pseudo).r_flat
     else:
         x, resp = data.x_flat, data.z
-    # covariates in ascending order, so every block of points sees one slice
+    # covariates and points in ascending order; a point that is not finite
+    # gets an empty window
     if order is None:
         order = np.argsort(x, kind="stable")
     point_order = order if points is x else np.argsort(points, kind="stable")
-    x_sorted = x[order]
-    eps = np.finfo(float).eps
+    x_sorted, grid = x[order], points[point_order]
+    n, q, eps = x.size, cfg.p + 1, np.finfo(float).eps
+    finite = np.isfinite(grid)
+    grid = np.where(finite, grid, 0.0)
+    L, R = (_window_bounds(x_sorted, grid, cfg.h) if cfg.kernel.compact
+            else (np.zeros(grid.size, dtype=np.intp), np.full(grid.size, n)))
+    L[~finite] = R[~finite] = 0
 
-    pools = estimator in (Estimator.AVERAGE, Estimator.PRODUCT)
-    if pools:
-        # slot-major member table: slab i holds every pool's i-th member
-        table = data.member_table.T
-        members, pad = x[table], table < 0
-        pool_sorted = data.member_pool_index[order]
-        product = estimator is Estimator.PRODUCT
-
-        def design(rows, grid):
-            return (*_pool_design(members[:, rows], pad[:, rows], data.sizes[rows], grid,
-                                  cfg, product), resp[rows])
-
-        def window(lo, hi):
-            # every pool with a member in the slice, in ascending pool order
-            touched = np.zeros(data.n_pools, dtype=bool)
-            touched[pool_sorted[lo:hi]] = True
-            return np.flatnonzero(touched)[None, :]
-    else:
-        def design(rows, grid):
-            return (*_unit_design(x[rows], grid, cfg), resp[rows])
-
-        def window(lo, hi):
-            return order[None, lo:hi]
-
-    q = cfg.p + 1
-    beta, failed = np.empty((points.size, q)), np.empty(points.size, dtype=bool)
-    todo = point_order
-    if (cfg.kernel in _POLY_FAMILY and estimator is not Estimator.PRODUCT
-            and np.isfinite(points).all()):
-        # the points in ascending order, so the running sums are read in order
-        grid = points[point_order]
-        L, R = _window_bounds(x_sorted, grid, cfg.h)
-        cmax = table.shape[0] if pools else 1
-        if (R - L).sum() * cmax**2 > _RUNNING_MIN * (x.size + points.size) + _RUNNING_BASE:
-            if pools:
-                mates = data.member_table[pool_sorted].T
-                mates = np.where(mates >= 0, x[mates], np.nan)
-                size, rows_resp = data.sizes[pool_sorted].astype(float), resp[pool_sorted]
-            else:
-                mates, size, rows_resp = x_sorted[None], np.ones(x.size), resp[order]
-            Ab, E = _running_sums(x_sorted, mates, size, rows_resp, cfg, grid, L, R)
-            # rows of nonzero weight: the pools of a window of fewer than
-            # c (q + d) members are counted, larger ones hold q + d or more
-            count, width = R - L, cmax * (q + (0 if drop is None else drop.shape[1]))
-            if pools:
-                few = np.flatnonzero(count < width)
-                rows = L[few, None] + np.arange(width)
-                ids = np.where(rows < R[few, None], pool_sorted[np.minimum(rows, x.size - 1)], -1)
-                ids.sort(axis=1)
-                new = (ids[:, 1:] != ids[:, :-1]) & (ids[:, 1:] >= 0)
-                count[few] = new.sum(axis=1) + (ids[:, 0] >= 0)
-            if drop is not None:
-                # the fold's rows, built by the row builders and subtracted
-                left_out = drop[point_order]
-                powers, w, y = design(np.maximum(left_out, 0), grid[:, None])
-                w[left_out < 0] = 0.0
-                fold = _normal_sums(powers, w, y)
-                Ab -= fold
-                E += 2.0 * eps * np.abs(fold)
-                count -= (w > 0).sum(axis=1)
-            beta[point_order], failed[point_order], redo = _solve(Ab, cfg, (E, np.abs(resp).max()))
-            del Ab, E
-            todo = point_order[redo | (count < q)]
-
-    if drop is not None:
-        # column of each row (one per response) in the current block's
-        # window, -1 outside it; the extra last entry sends the -1 padding
-        # of drop to -1 as well
-        column = np.full(resp.size + 1, -1)
-    Ab = np.empty((q, q + 1, points.size))
-    # blocks of up to _CHUNK sorted points, under a compact kernel also cut
-    # where more than _CHUNK rows lie between two points (points refit after
-    # the running sums, a coarse grid)
-    i, at = np.arange(todo.size), np.searchsorted(x_sorted, points[todo])
-    gap = cfg.kernel.compact & (np.diff(at, prepend=at[:1]) > _CHUNK)
-    starts = np.flatnonzero((i - np.maximum.accumulate(np.where(gap, i, 0))) % _CHUNK == 0)
-    for s, e in zip(starts, np.r_[starts[1:], todo.size]):
-        block = todo[s:e]
-        grid = points[block][:, None]
-        first, last = grid[0, 0], grid[-1, 0]
-        if cfg.kernel.compact:
-            # [first - h, last + h] plus a few ulps. Rounding is monotone, so
-            # a member outside the rounded bounds already has rounded |t| >= 1
-            # and weight zero; the margin keeps every member with weight in
-            # the slice even if t and the bounds were rounded differently
-            # (each extra member only adds zero weight)
-            reach = cfg.h + 4.0 * eps * (max(abs(first), abs(last)) + cfg.h)
-            lo, hi = np.searchsorted(x_sorted, (first - reach, last + reach))
+    # the rows in the engine's order (unit rows: the sorted records), each
+    # point's rows lo..hi - 1 kept where gate says so, and the places in
+    # that order that can hold each row (-1 padded)
+    product = estimator is Estimator.PRODUCT
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    lo, hi, gate, cmax = L, R, None, 1
+    if estimator in (Estimator.AVERAGE, Estimator.PRODUCT):
+        table = data.member_table
+        cmax = table.shape[1]
+        # each pool's sorted member positions, ascending, -1 padded first
+        ranks = np.sort(np.where(table >= 0, place[table], -1), axis=1)
+        if product:
+            # the pools by last member; a window's have last and first in [L, R)
+            first, last = ranks[np.arange(table.shape[0]), cmax - data.sizes], ranks[:, -1]
+            space = np.argsort(last, kind="stable")
+            lo, hi = np.searchsorted(last[space], L), np.searchsorted(last[space], R)
+            gate, place = (first[space], True), np.argsort(space)[:, None]
         else:
-            lo, hi = 0, x.size
-        rows = window(lo, hi)
-        powers, w, y = design(rows, grid)
+            # the pool of every sorted member: each pool with a member in
+            # [L, R) once, at the member whose predecessor lies before L
+            space, before, place = data.member_pool_index[order], np.full(n, -1), ranks
+            later = ranks[:, 1:] >= 0
+            before[ranks[:, 1:][later]] = ranks[:, :-1][later]
+            gate = (before, False)
+        members = table[space].T
+        rows = (np.where(members >= 0, x[members], np.nan), data.sizes[space].astype(float),
+                resp[space], product)
+    else:
+        rows, place = (x_sorted, np.ones(n), resp[order], False), place[:, None]
+
+    beta, failed = np.empty((points.size, q)), np.empty(points.size, dtype=bool)
+    todo = np.arange(grid.size)
+    # product rows need pools of cmax consecutive sorted members (a window's
+    # pools are then a contiguous range, every row of one scale) and a weight
+    # of degree 2 m cmax <= 8, beyond which the bound leaves most points open
+    running = cfg.kernel in _POLY_FAMILY and (not product or (
+        _POLY_FAMILY[cfg.kernel][1] * cmax <= 4 and (last - first + 1 == cmax).all()))
+    if running and (hi - lo).sum() * cmax > _RUNNING_MIN * (n + points.size) + _RUNNING_BASE:
+        # product rows sit at their pools' last members
+        xs, start = (x_sorted[last[space]], np.minimum(np.searchsorted(first[space], L), hi)) \
+            if product else (x_sorted, L)
+        Ab, E = _running_sums(xs, np.atleast_2d(rows[0]), *rows[1:3], cfg, grid, start, hi,
+                              product)
+        # rows of nonzero weight; an average window of fewer than c (q + d)
+        # members may hold fewer than q + d pools and is refit
+        count = hi - start
+        if estimator is Estimator.AVERAGE:
+            count[R - L < cmax * (q + (0 if drop is None else drop.shape[1]))] = 0
         if drop is not None:
-            # dropped rows outside the window already weigh zero
-            column[rows[0]] = np.arange(rows.shape[1])
-            cols = column[drop[block]]
-            column[rows[0]] = -1
-            hit = cols >= 0
-            w[np.nonzero(hit)[0], cols[hit]] = 0.0
-        Ab[..., block] = _normal_sums(powers, w, y)
-        # free this block's rows before the next block builds its own
-        del powers, w, y
-    beta[todo], failed[todo] = _solve(Ab[..., todo], cfg)[:2]
+            # the fold's rows, one pair each, subtracted
+            left_out = np.where(drop >= 0, place[drop, -1], -1)[point_order].ravel()
+            fold = _pair_sums(np.repeat(grid, drop.shape[1]), left_out, left_out + (left_out >= 0),
+                              None, None, None, cfg, rows).reshape(q, q + 1, grid.size, -1)
+            count -= (fold[0, 0] > 0).sum(axis=-1)
+            fold = fold.sum(axis=-1)
+            Ab -= fold
+            E += 2.0 * eps * np.abs(fold)
+        beta[point_order], failed[point_order], redo = _solve(Ab, cfg, (E, np.abs(resp).max()))
+        del Ab, E
+        todo = np.flatnonzero(redo | (count < q))
+
+    done = point_order[todo]
+    if drop is not None:
+        drop = np.where(drop[done, :, None] >= 0, place[drop[done]], -1).reshape(
+            todo.size, drop.shape[1] * place.shape[1])
+    Ab = _pair_sums(grid[todo], lo[todo], hi[todo], L[todo], gate, drop, cfg, rows)
+    beta[done], failed[done] = _solve(Ab, cfg)[:2]
     return beta, failed
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -467,7 +468,7 @@ def eigvalsh_solve(Ab, cfg, bounds=None):
 
 
 class TestRunningSumParity:
-    """CV through the running sums matches CV on the block path alone."""
+    """CV through the running sums matches CV on the flat pass alone."""
 
     @pytest.fixture(scope="class", params=["d2-600", "fit-large"])
     def study(self, request):
@@ -479,10 +480,13 @@ class TestRunningSumParity:
         people = sample_dgp(get_dgp("d1"), 3000, rng)
         return people, pool_random(people, 3, rng)
 
-    @pytest.mark.parametrize("tag, criterion", [
-        (Estimator.AVERAGE, "pool"), (Estimator.MARGINAL, "pseudo"),
-        (Estimator.MARGINAL, "pool"), (Estimator.INDIVIDUAL, "pool"),
-    ])
+    # product weights take the running sums on pools that do not overlap in
+    # sorted order, the homogeneous pools of d2-600
+    @pytest.mark.parametrize("study, tag, criterion", [
+        (study, tag, criterion) for study in ("d2-600", "fit-large")
+        for tag, criterion in [(Estimator.AVERAGE, "pool"), (Estimator.MARGINAL, "pseudo"),
+                               (Estimator.MARGINAL, "pool"), (Estimator.INDIVIDUAL, "pool")]
+    ] + [("d2-600", Estimator.PRODUCT, "pool")], indirect=["study"])
     def test_same_choice_masks_and_failures(self, study, monkeypatch, tag, criterion):
         people, pooled = study
         data = people if tag is Estimator.INDIVIDUAL else pooled
@@ -534,11 +538,22 @@ class TestMemory:
         y = np.sin(2 * x) + rng.normal(scale=0.3, size=x.size)
         pooled = pool_random(IndividualDataset(x=x, y=y), 3, rng)
         cfg = FitConfig(p=1, h=1.0)
+        # the Gaussian kernel's window is the whole sample: 9 million pairs
+        rng = np.random.default_rng(42)
+        x = rng.uniform(-1, 1, size=3000)
+        smaller = pool_random(IndividualDataset(x=x, y=np.sin(2 * x)), 3, rng)
         tracemalloc.start()
         try:
             for tag in (Estimator.AVERAGE, Estimator.MARGINAL):
                 trace = select_bandwidth(pooled, tag, cfg, grid=[0.003, 0.01])
                 assert np.isfinite(trace.criterion).any()
+            # at these h hardly any random pool of 3 has all its members in
+            # one window, so every product fold fails, each after a full pass
+            with pytest.raises(NoValidBandwidth):
+                select_bandwidth(pooled, Estimator.PRODUCT, cfg, grid=[0.003, 0.01])
+            gaussian = replace(cfg, kernel=KernelKind.GAUSSIAN)
+            trace = select_bandwidth(smaller, Estimator.MARGINAL, gaussian, grid=[0.1])
+            assert np.isfinite(trace.criterion).all()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

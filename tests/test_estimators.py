@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -214,9 +215,8 @@ class TestPooledFits:
         )
         cfg = FitConfig(p=0, h=1.0)
         table = pooled.member_table.T[:, None, :]  # slots x one point x pools
-        _, w_prod = _pool_design(
-            pooled.x_flat[table], table < 0, pooled.sizes, np.array([[0.0]]), cfg, product=True
-        )
+        members = np.where(table >= 0, pooled.x_flat[table], np.nan)
+        _, w_prod = _pool_design(members, pooled.sizes, np.array([[0.0]]), cfg, product=True)
         assert w_prod[0, 0] == 0.0
         assert w_prod[0, 1] > 0.0
 
@@ -356,7 +356,7 @@ class TestPlanarSolve:
 
     def test_fits_make_no_linalg_call(self, monkeypatch):
         # the engine solves with its own rotations: with every numpy.linalg
-        # function raising, CV (running sums and blocks) and curves still run
+        # function raising, CV (running sums and flat pass) and curves still run
         assert "linalg" not in inspect.getsource(estimators)
         rng = np.random.default_rng(8)
         people = sample_dgp(get_dgp("d1"), 600, rng)
@@ -386,7 +386,7 @@ class TestPlanarSolve:
                 assert np.isfinite(trace.criterion).any()
                 curve = estimate_curve(tag, data, cfg, np.linspace(-2, 2, 41))
                 assert np.isfinite(curve.values).any()
-        assert any(bounded) and not all(bounded)  # running sums and blocks
+        assert any(bounded) and not all(bounded)  # running sums and the flat pass
 
 
 # reordering or rescaling changes only the rounding of the normal sums,
@@ -575,6 +575,21 @@ class TestCurveAndBatch:
         with pytest.raises(UserInputError):
             estimate_curve(Estimator.AVERAGE, data, FitConfig(p=0, h=1.0), [0.5])
 
+    @pytest.mark.parametrize("kernel", [KernelKind.EPANECHNIKOV, KernelKind.GAUSSIAN])
+    def test_non_finite_points_fail_without_warnings(self, kernel):
+        _, x, y, sizes, z = random_pools(3, 12)
+        units = IndividualDataset(x=x, y=y)
+        pooled = PooledDataset(z=z, sizes=sizes, x_flat=x, design=Design.EXTERNAL)
+        cfg = FitConfig(p=1, h=0.6, kernel=kernel)
+        grid = [np.inf, 0.5, -np.inf, np.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tag in Estimator:
+                curve = estimate_curve(tag, units if tag is Estimator.INDIVIDUAL else pooled,
+                                       cfg, grid)
+                assert curve.failed.tolist() == [True, False, True, True], tag
+                assert np.isfinite(curve.values[1]), tag
+
     @staticmethod
     def check_leave_one_unit_out(h, max_failed):
         rng = np.random.default_rng(31)
@@ -739,10 +754,10 @@ class TestWindowedEngine:
         note(f"points compared: {checked}")
 
     @pytest.mark.parametrize("kernel", [KernelKind.EPANECHNIKOV, KernelKind.TRICUBE])
-    def test_blocks_cut_at_wide_gaps_match_dense(self, kernel):
-        # more than a block's worth of members lies between neighbouring
-        # points, so the blocks are cut there; p = 0, so the dense reference
-        # determines every fit over these ~450 rows
+    def test_points_far_apart_match_dense(self, kernel):
+        # more than 64 members lie between neighbouring points, whose
+        # windows share no row; p = 0, so the dense reference determines
+        # every fit over these ~450 rows
         _, x, y, sizes, z = random_pools(5, 180)
         units = IndividualDataset(x=x, y=y)
         pooled = PooledDataset(z=z, sizes=sizes, x_flat=x, design=Design.EXTERNAL)
@@ -804,12 +819,20 @@ class TestRunningSums:
            p=st.integers(0, 3), kernel=st.sampled_from(POLYNOMIAL),
            h=st.floats(min_value=0.01, max_value=2.0),
            fold=st.sampled_from([None, "row", "pool"]),
-           offset=st.sampled_from([0.0, 1e6]), unit=st.sampled_from([1.0, 1e-6]))
-    def test_matches_dense_reference(self, seed, n_pools, p, kernel, h, fold, offset, unit):
-        rng, x, y, sizes, z = random_pools(seed, n_pools)
+           offset=st.sampled_from([0.0, 1e6]), unit=st.sampled_from([1.0, 1e-6]),
+           chunked=st.booleans())
+    def test_matches_dense_reference(self, seed, n_pools, p, kernel, h, fold, offset, unit,
+                                     chunked):
+        rng, x, y, sizes, z = random_pools(seed, n_pools, equal_sizes=chunked)
         # duplicate covariates, then the covariate moved and rescaled
         x[rng.integers(0, x.size, x.size // 3)] = x[rng.integers(0, x.size, x.size // 3)]
         x, h = offset + unit * x, unit * h
+        if chunked:
+            # equal pools of consecutive sorted members, which product
+            # weights sum on the running sums too
+            order = np.argsort(x, kind="stable")
+            x, y = x[order], y[order]
+            z = np.add.reduceat(y, np.r_[0, np.cumsum(sizes)[:-1]]) / sizes
         units = IndividualDataset(x=x, y=y)
         pooled = PooledDataset(z=z, sizes=sizes, x_flat=x, design=Design.EXTERNAL)
         cfg = FitConfig(p=p, h=h, kernel=kernel)
@@ -818,7 +841,7 @@ class TestRunningSums:
         edge = np.r_[h, -h, h * (1 - 1e-9), -h * (1 - 1e-9)]
         grid = np.r_[offset + unit * np.linspace(-0.2, 1.2, 15), rng.choice(x, 4) + edge]
         checked = settled = 0
-        for tag in (Estimator.INDIVIDUAL, Estimator.AVERAGE, Estimator.MARGINAL):
+        for tag in Estimator:
             data = units if tag is Estimator.INDIVIDUAL else pooled
             points, drop = folds(tag, pooled, fold) if fold else (grid, None)
             with pytest.MonkeyPatch.context() as mp:
@@ -839,22 +862,27 @@ class TestRunningSums:
 
     @pytest.mark.parametrize("kernel", POLYNOMIAL)
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
-    def test_agrees_with_the_block_path(self, monkeypatch, kernel, p):
+    def test_agrees_with_the_flat_pass(self, monkeypatch, kernel, p):
         rng = np.random.default_rng(p)
         people = sample_dgp(get_dgp("d1"), 600, rng)
         pooled = pool_random(people, 3, rng)
+        chunked = pool_homogeneous(people, 2)
         cfg = FitConfig(p=p, h=0.8, kernel=kernel)
         x = pooled.x_flat
         cases = [(Estimator.INDIVIDUAL, people, np.arange(x.size)[:, None]),
                  (Estimator.AVERAGE, pooled, pooled.member_pool_index[:, None]),
                  (Estimator.MARGINAL, pooled, pooled.member_table[pooled.member_pool_index])]
+        if kernel is not KernelKind.TRIWEIGHT:
+            # product weights of pairs under the triweight kernel, of degree
+            # 12, stay on the flat pass
+            cases.append((Estimator.PRODUCT, chunked, chunked.member_pool_index[:, None]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_RUNNING_MIN", np.inf)
-            want = [_local_fits(tag, data, cfg, data.x_flat if data is pooled else data.x,
+            want = [_local_fits(tag, data, cfg, data.x if data is people else data.x_flat,
                                 drop=drop) for tag, data, drop in cases]
         running = RunningSums(monkeypatch)
         for (tag, data, drop), (beta0, failed0) in zip(cases, want):
-            points = data.x_flat if data is pooled else data.x
+            points = data.x if data is people else data.x_flat
             before = running.settled
             beta, failed = _local_fits(tag, data, cfg, points, drop=drop)
             assert np.array_equal(failed, failed0), tag
@@ -863,7 +891,7 @@ class TestRunningSums:
             if p < 2:
                 assert running.settled - before > 0.7 * points.size, tag
 
-    def test_rcond_at_the_threshold_goes_back_to_the_block_path(self, monkeypatch):
+    def test_rcond_at_the_threshold_goes_back_to_the_flat_pass(self, monkeypatch):
         # rows at -+1e-6 with h = 1: rcond is (1e-6)^2, rcond_min itself
         x = np.repeat([-1e-6, 1e-6], 3)
         units = IndividualDataset(x=x, y=np.cos(x))
@@ -876,7 +904,7 @@ class TestRunningSums:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
-    def test_cancelling_folds_go_back_to_the_block_path(self, monkeypatch):
+    def test_cancelling_folds_go_back_to_the_flat_pass(self, monkeypatch):
         # each point's own row carries all but about 1e-9 of its window's
         # weight, so the kept sums are far below the rounding of the full ones
         h = 0.1
