@@ -56,7 +56,6 @@ gets the plain argmin.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -161,7 +160,7 @@ def _pool_rss(pooled: PooledDataset, fitted: np.ndarray, needed: np.ndarray) -> 
     inner = sums[include] / counts[include]
     resid = pooled.z[include] - inner
     # literal criterion: the summand is member-free, so each pool counts c_j times
-    return float(pooled.sizes[include] @ (resid * resid))
+    return float(np.sum(pooled.sizes[include] * (resid * resid)))
 
 
 def _smallest_tied(values: np.ndarray, n: int, scale: float) -> int:
@@ -187,6 +186,9 @@ def _map(fun: Callable, items, jobs: int) -> list:
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fun(item) for item in items]
+    # imported here, so serial runs load no concurrent.futures or multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fun, items, chunksize=chunk))
@@ -202,7 +204,7 @@ def _score(tag, data, base_cfg, pseudo, drop, order, needed, target, h):
     if target is None:
         return _pool_rss(data, beta[:, 0], needed), bad
     resid = np.where(needed, target - beta[:, 0], 0.0)
-    return float(resid @ resid), bad
+    return float(np.sum(resid * resid)), bad
 
 
 def select_bandwidth(
@@ -288,9 +290,9 @@ def select_bandwidth(
             f"all {h_grid.size} candidate bandwidths failed cross-validation"
         )
     if target is None:
-        scale = float(data.sizes @ (data.z * data.z))
+        scale = float(np.sum(data.sizes * (data.z * data.z)))
     else:
-        scale = float(target @ target)
+        scale = float(np.sum(target * target))
     best = _smallest_tied(values, x.size, scale)
     return CvTrace(
         estimator=tag,

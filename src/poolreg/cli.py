@@ -18,6 +18,15 @@ reruns byte-comparable.
 Exit codes: 0 on success, 2 for configuration or input-data problems, 3
 when a computation fails numerically.
 
+Every command runs one BLAS thread per process: importing this module sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
+loads, unless any of them is already set, which is then kept as it is. The
+fits make no LAPACK call and the output sums use numpy reductions, so the
+pool would only idle (its thread spins about 0.1 s of CPU at start-up);
+the parallelism is the ``--jobs`` worker processes, which inherit the
+setting. ``python -m poolreg.cli`` and the ``poolreg`` script both import
+this module before numpy, because ``import poolreg`` loads nothing.
+
 File schemas
     simulate   replications.csv (rep, estimator, h, ise),
                curves.csv (rep, estimator, x, m_hat),
@@ -41,6 +50,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+# must run before the first numpy import; see the module docstring
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 import numpy as np
 

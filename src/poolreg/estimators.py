@@ -208,7 +208,7 @@ class CurveEstimate:
 
 
 def build_pseudo_data(data: PooledDataset) -> PseudoData:
-    mu_hat = float(data.sizes @ data.z) / data.n_units
+    mu_hat = float(np.sum(data.sizes * data.z)) / data.n_units
     r = data.sizes * data.z - (data.sizes - 1) * mu_hat
     return PseudoData(mu_hat=mu_hat, r=r, source=data)
 

@@ -309,7 +309,7 @@ def ise(fitted, responses) -> float:
             "the error sum is undefined"
         )
     diff = responses - fitted
-    return float(np.dot(diff, diff))
+    return float(np.sum(diff * diff))
 
 
 # ---------------------------------------------------------------------------

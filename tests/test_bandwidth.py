@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -380,6 +383,29 @@ class TestJobsInvariance:
         pooled = random_pooled(seed=11, n=300, c=3)
         self.same_trace(pooled, Estimator.MARGINAL, FitConfig(p=1, h=1.0),
                         criterion=criterion)
+
+
+def test_criterion_independent_of_blas_threads():
+    # OpenBLAS splits a dot product over its threads from about n = 20,000 on,
+    # which moved the last bit of these criteria; numpy reductions do not split
+    code = (
+        "import numpy as np\n"
+        "from poolreg import Estimator, FitConfig, get_dgp, pool_random, sample_dgp, select_bandwidth\n"
+        "rng = np.random.default_rng(7)\n"
+        "people = sample_dgp(get_dgp('d1'), 20000, rng)\n"
+        "pooled = pool_random(people, 2, rng)\n"
+        "for data, tag in ((people, Estimator.INDIVIDUAL), (pooled, Estimator.MARGINAL)):\n"
+        "    trace = select_bandwidth(data, tag, FitConfig(p=1, h=1.0), grid=[0.05, 0.1])\n"
+        "    print([float(v).hex() for v in trace.criterion])\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestDefaultGrid:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import ast
 import csv
 import importlib
 import importlib.util
@@ -35,6 +36,46 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(**preset):
+    """This process's environment without the BLAS thread variables, plus preset."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, **preset}
+
+
+def loaded_modules(*argvs, code="from poolreg import cli", env=None):
+    """Every module a fresh interpreter has loaded once it has run code, then
+    cli.main(argv) for each argv."""
+    script = "\n".join(["import sys", code, *(f"assert cli.main({argv!r}) == 0" for argv in argvs),
+                        "print(sorted(sys.modules))"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def under(modules, *packages):
+    """The modules that are one of packages or inside one."""
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)]
+
+
+def test_import_loads_no_numpy():
+    # the package root loads its modules on first use, so the CLI can pin the
+    # BLAS threads before numpy loads
+    assert under(loaded_modules(code="import poolreg"), "numpy", "poolreg") == ["poolreg"]
+
+
+def test_cli_import_pins_one_blas_thread():
+    code = f"import os, poolreg.cli\nprint([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])"
+    for preset, want in (({}, ["1", "1", "1"]),
+                         ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None, None])):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=blas_env(**preset))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(want), preset
+
+
 def test_import_loads_no_scipy(tmp_path):
     # importing scipy.integrate once cost more than the rest of a theory run;
     # neither importing poolreg nor computing its theory may load scipy
@@ -47,32 +88,13 @@ def test_import_loads_no_scipy(tmp_path):
         cfg = write_cfg(tmp_path, body + "n = 600\nh = 0.25\ngrid_count = 5\n",
                         name=f"{name}.cfg")
         runs.append(["theory", "--config", cfg, "--out", str(tmp_path / name)])
-    code = (
-        "import sys, poolreg\n"
-        "from poolreg import cli\n"
-        "after_import = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        f"for argv in {runs!r}:\n"
-        "    assert cli.main(argv) == 0\n"
-        "print(sorted(after_import), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] []"
+    assert under(loaded_modules(code="import poolreg\nfrom poolreg import cli"), "scipy") == []
+    after_runs = loaded_modules(*runs)
+    assert under(after_runs, "scipy") == []
+    # no worker processes, so no process pool either
+    assert under(after_runs, "concurrent.futures", "multiprocessing") == []
     for name in designs:
         assert (tmp_path / name / "theory.csv").exists()
-
-
-def numpy_ma_modules(argv):
-    """The numpy.ma modules loaded once cli.main(argv) has run in a fresh interpreter."""
-    code = (
-        "import sys\n"
-        "from poolreg import cli\n"
-        f"assert cli.main({argv!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
 
 
 def test_cv_fit_loads_no_numpy_ma(tmp_path):
@@ -85,7 +107,10 @@ def test_cv_fit_loads_no_numpy_ma(tmp_path):
         "estimators = marginal\np = 1\ncv = true\n"
     ))
     argv = ["fit", "--config", cfg, "--out", str(tmp_path / "fit"), "--jobs", "1"]
-    assert numpy_ma_modules(argv) == "[]"
+    modules = loaded_modules(argv)
+    assert under(modules, "numpy.ma") == []
+    # a serial CV imports no process pool
+    assert under(modules, "concurrent.futures", "multiprocessing") == []
     assert (tmp_path / "fit" / "cv_trace.csv").exists()
 
 
@@ -99,7 +124,7 @@ def test_bootstrap_loads_no_numpy_ma(tmp_path):
         "grid_min = -0.5\ngrid_max = 0.5\ngrid_count = 5\n"
     ))
     argv = ["bootstrap", "--config", cfg, "--out", str(tmp_path / "boot"), "--jobs", "1"]
-    assert numpy_ma_modules(argv) == "[]"
+    assert under(loaded_modules(argv), "numpy.ma") == []
     assert (tmp_path / "boot" / "bands.csv").exists()
 
 
@@ -341,13 +366,15 @@ class TestFit:
             f"estimators = {estimator}\np = 1\ncv = true\n"
             "grid_min = -0.5\ngrid_max = 0.5\ngrid_count = 5\n"
         ))
+        # jobs1 and jobs2 run with the BLAS variables unset (the CLI pins one
+        # thread), blas1 and blas2 with OPENBLAS_NUM_THREADS preset (kept)
         runs = {"jobs1": (["--jobs", "1"], {}), "jobs2": (["--jobs", "2"], {}),
                 "blas1": ([], {"OPENBLAS_NUM_THREADS": "1"}),
                 "blas2": ([], {"OPENBLAS_NUM_THREADS": "2"})}
         for name, (flags, env) in runs.items():
             proc = subprocess.run(
                 RUN + [command, "--config", cfg, "--out", str(tmp_path / name), *flags],
-                capture_output=True, text=True, env={**os.environ, **env},
+                capture_output=True, text=True, env=blas_env(**env),
             )
             assert proc.returncode == 0, proc.stderr
         _, rows = read_rows(tmp_path / "jobs1" / "cv_trace.csv")

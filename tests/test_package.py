@@ -1,6 +1,7 @@
 """The package root: its public names, the README's library quick start and
 the acceptance records its Tests section points to."""
 
+import ast
 import json
 import re
 import subprocess
@@ -38,6 +39,28 @@ def test_public_names():
     assert set(poolreg.__all__) == PUBLIC_NAMES
     for name in poolreg.__all__:
         assert hasattr(poolreg, name), name
+
+
+SUBMODULES = {"bandwidth", "data", "errors", "estimators", "kernels", "simulation", "theory"}
+
+
+def test_lazy_root_public_names():
+    # the root imports its modules on first use; a star import and dir() each
+    # load them and give the public names, a submodule name loads its module
+    checks = {
+        "star": "ns = {}\nexec('from poolreg import *', ns)\nprint(sorted(set(ns) - {'__builtins__'}))",
+        "dir": "print([n for n in dir(poolreg) if not n.startswith('_')])",
+        "submodule": "print(poolreg.kernels.__name__, 'poolreg.simulation' in sys.modules)",
+    }
+    out = {}
+    for name, code in checks.items():
+        proc = subprocess.run([sys.executable, "-c", "import sys, poolreg\n" + code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out[name] = proc.stdout.strip()
+    assert ast.literal_eval(out["star"]) == sorted(PUBLIC_NAMES)
+    assert ast.literal_eval(out["dir"]) == sorted(PUBLIC_NAMES | SUBMODULES)
+    assert out["submodule"] == "poolreg.kernels False"
 
 
 def test_readme_quick_start_runs():
