@@ -33,7 +33,7 @@ residual vector, V = sum_i w_i r_i^2. With n records and u = n * eps (eps the
 double precision machine epsilon), each computed residual is off by at most
 about u times its response, because every fitted value rests on sums over at
 most n records (to first order, for a well-conditioned local solve; a solve
-near the rcond_min threshold can lose more, which the band does not cover).
+near the 1e-12 rcond threshold can lose more, which the band does not cover).
 By the triangle inequality sqrt(V) is then known to within
 u * sqrt(S) plus the rounding of the final n-term sum, about u * sqrt(V) / 2,
 where S is the data's own scale:

@@ -64,6 +64,7 @@ from .data import (
     Design,
     IndividualDataset,
     PooledDataset,
+    _chunk_sizes,
     read_individual_csv,
     read_pooled_csv,
 )
@@ -413,7 +414,7 @@ def cmd_bandwidth(cfg: RunConfig, out_dir: Path) -> None:
     print(f"chosen_h = {FLOAT_FMT % trace.chosen_h}")
 
 
-def _theory_summary(cfg: RunConfig, ctx, est: Estimator, x: float, sizes: tuple):
+def _theory_summary(cfg: RunConfig, ctx, est: Estimator, x: float, sizes: np.ndarray):
     if cfg.design == "homogeneous" and est in (Estimator.AVERAGE, Estimator.PRODUCT):
         return theory.homogeneous_summary(
             ctx, est, x, cfg.p, cfg.h, cfg.n, cfg.c, cfg.kernel
@@ -441,7 +442,8 @@ def cmd_theory(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.n < cfg.c:
         raise UserInputError(f"n = {cfg.n} cannot hold even one pool of size {cfg.c}")
     ctx = theory_context(get_dgp(cfg.dgp))
-    sizes = (cfg.c,) * (cfg.n // cfg.c)
+    # the pools pool_random makes, a last pool of n mod c included
+    sizes = _chunk_sizes(cfg.n, cfg.c)
 
     rows = []
     for x in cfg.grid():

@@ -106,10 +106,10 @@ class PooledDataset:
             self._check_sorted_chunks()
 
     def _check_sorted_chunks(self):
-        off = self.offsets
-        for j in range(self.n_pools - 1):
-            if self.x_flat[off[j]:off[j + 1]].max() > self.x_flat[off[j + 1]:off[j + 2]].min():
-                raise ValueError("homogeneous pools must be sorted chunks of the covariate")
+        starts = self.offsets[:-1]
+        top = np.maximum.reduceat(self.x_flat, starts)[:-1]
+        if np.any(top > np.minimum.reduceat(self.x_flat, starts)[1:]):
+            raise ValueError("homogeneous pools must be sorted chunks of the covariate")
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -147,14 +147,11 @@ def _member_table(sizes: np.ndarray) -> np.ndarray:
     return np.where(slot < sizes[:, None], starts[:, None] + slot, -1)
 
 
-def _chunk_sizes(n: int, c: int, require_divisible: bool) -> np.ndarray:
+def _chunk_sizes(n: int, c: int) -> np.ndarray:
+    """n // c pools of size c, then one pool of the n mod c left over, if any."""
     if c < 1:
         raise UserInputError(f"pool size must be at least 1, got {c}")
     remainder = n % c
-    if remainder and require_divisible:
-        raise UserInputError(
-            f"{n} records cannot be split into pools of exactly {c}"
-        )
     sizes = np.full(n // c, c, dtype=np.int64)
     if remainder:
         sizes = np.append(sizes, remainder)
@@ -162,10 +159,9 @@ def _chunk_sizes(n: int, c: int, require_divisible: bool) -> np.ndarray:
 
 
 def _pool_by_order(
-    data: IndividualDataset, order: np.ndarray, c: int, design: Design,
-    require_divisible: bool,
+    data: IndividualDataset, order: np.ndarray, c: int, design: Design
 ) -> PooledDataset:
-    sizes = _chunk_sizes(data.n_units, c, require_divisible)
+    sizes = _chunk_sizes(data.n_units, c)
     x_flat = data.x[order]
     y_flat = data.y[order]
     table = _member_table(sizes)
@@ -173,25 +169,20 @@ def _pool_by_order(
     return PooledDataset(z=z, sizes=sizes, x_flat=x_flat, design=design)
 
 
-def pool_random(
-    data: IndividualDataset, c: int, rng: np.random.Generator,
-    require_divisible: bool = False,
-) -> PooledDataset:
+def pool_random(data: IndividualDataset, c: int, rng: np.random.Generator) -> PooledDataset:
     """Randomly permute individuals, then chunk into consecutive pools of c.
 
     When N is not a multiple of c the final pool keeps the remaining
-    N mod c individuals; pass require_divisible=True to forbid that.
+    N mod c individuals.
     """
     order = rng.permutation(data.n_units)
-    return _pool_by_order(data, order, c, Design.RANDOM, require_divisible)
+    return _pool_by_order(data, order, c, Design.RANDOM)
 
 
-def pool_homogeneous(
-    data: IndividualDataset, c: int, require_divisible: bool = False
-) -> PooledDataset:
+def pool_homogeneous(data: IndividualDataset, c: int) -> PooledDataset:
     """Sort individuals by covariate (stable), then chunk into pools of c."""
     order = np.argsort(data.x, kind="stable")
-    return _pool_by_order(data, order, c, Design.HOMOGENEOUS, require_divisible)
+    return _pool_by_order(data, order, c, Design.HOMOGENEOUS)
 
 
 def ingest_pooled(

@@ -65,7 +65,8 @@ Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
 conditioned for small h. A point fails when its normal sums are not finite
 or when rcond, the ratio of the smallest to the largest singular value of
-the h-scaled normal matrix, is below FitConfig.rcond_min. Failures are
+the h-scaled normal matrix, is below 1e-12 (_RCOND_MIN, which the theory
+layer applies to its moment matrices too). Failures are
 reported (NaN and a failure flag over a grid, SingularLocalSystem from the
 single-point fit_* functions), never papered over with regularization.
 Cyclic Jacobi rotations decompose every normal matrix of a call at once,
@@ -122,20 +123,17 @@ class Estimator(enum.Enum):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings shared by every local fit: order, bandwidth, kernel, tolerance."""
+    """Settings shared by every local fit: order, bandwidth, kernel."""
 
     p: int
     h: float
     kernel: KernelKind = KernelKind.EPANECHNIKOV
-    rcond_min: float = 1e-12
 
     def __post_init__(self):
         if self.p < 0:
             raise UserInputError(f"polynomial order must be >= 0, got {self.p}")
         if not (self.h > 0.0):
             raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.h}")
-        if not (0.0 < self.rcond_min < 1.0):
-            raise UserInputError("rcond_min must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,9 @@ def build_pseudo_data(data: PooledDataset) -> PseudoData:
     r = data.sizes * data.z - (data.sizes - 1) * mu_hat
     return PseudoData(mu_hat=mu_hat, r=r, source=data)
 
+
+# a local system fails below this rcond; see the module docstring
+_RCOND_MIN = 1e-12
 
 # when a call takes the running sums; see the module docstring
 _RUNNING_MIN, _RUNNING_BASE = 50, 16384
@@ -511,7 +512,7 @@ def _solve(
     (points, q). _jacobi gives the singular values |lam|, beta and the first
     row of A^-1. A system fails when it is not finite or when rcond, the
     ratio of its smallest to its largest singular value, is below
-    rcond_min; failed rows hold NaN. bounds = (E, ymax) bounds the errors
+    _RCOND_MIN; failed rows hold NaN. bounds = (E, ymax) bounds the errors
     [EA | Eb] of [A | b], so the exact singular values lie within e = |EA|_F
     of the computed ones. A point is left open when that leaves its rcond
     decision open, when e > s_min / 2, or when |A^-1|_0 (Eb + EA |beta|) /
@@ -524,8 +525,8 @@ def _solve(
     s_min, s_max = np.abs(lam).min(axis=0), np.abs(lam).max(axis=0)
     e = np.sqrt((bounds[0][:, :-1] ** 2).sum(axis=(0, 1))) if bounds else 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        passes = finite & ((s_min - e) / (s_max + e) >= cfg.rcond_min)
-        fails = finite & (s_max > e) & ((s_min + e) / (s_max - e) < cfg.rcond_min)
+        passes = finite & ((s_min - e) / (s_max + e) >= _RCOND_MIN)
+        fails = finite & (s_max > e) & ((s_min + e) / (s_max - e) < _RCOND_MIN)
         left_open = ~(passes | fails)
         inv = np.where(passes, 1.0 / lam, np.nan)
         beta = (V * ((V * b[:, None]).sum(axis=0) * inv)).sum(axis=1)
@@ -568,8 +569,11 @@ def _local_fits(
     elif not isinstance(data, PooledDataset):
         raise UserInputError(f"the {estimator.value} estimator needs pooled data")
     elif estimator is Estimator.MARGINAL:
-        x = data.x_flat
-        resp = (build_pseudo_data(data) if pseudo is None else pseudo).r_flat
+        if pseudo is None:
+            pseudo = build_pseudo_data(data)
+        elif pseudo.source is not data:
+            raise UserInputError("the pseudo data were built from another dataset")
+        x, resp = data.x_flat, pseudo.r_flat
     else:
         x, resp = data.x_flat, data.z
     # covariates and points in ascending order; a point that is not finite
@@ -657,17 +661,13 @@ def _local_fits(
 
 
 def _fit_point(
-    estimator: Estimator,
-    data: IndividualDataset | PooledDataset,
-    cfg: FitConfig,
-    x: float,
-    pseudo: PseudoData | None = None,
+    estimator: Estimator, data: IndividualDataset | PooledDataset, cfg: FitConfig, x: float
 ) -> LocalFit:
-    beta, failed = _local_fits(estimator, data, cfg, np.array([x], dtype=float), pseudo)
+    beta, failed = _local_fits(estimator, data, cfg, np.array([x], dtype=float))
     if failed[0]:
         raise SingularLocalSystem(
             f"local system at x={x:g} is empty, overflowed or singular "
-            f"to tolerance {cfg.rcond_min:g}"
+            f"to tolerance {_RCOND_MIN:g}"
         )
     return LocalFit(x=x, beta=beta[0])
 
@@ -698,11 +698,9 @@ def fit_product_weighted(data: PooledDataset, cfg: FitConfig, x: float) -> Local
     return _fit_point(Estimator.PRODUCT, data, cfg, x)
 
 
-def fit_marginal_integration(
-    data: PooledDataset, cfg: FitConfig, x: float, pseudo: PseudoData | None = None
-) -> LocalFit:
+def fit_marginal_integration(data: PooledDataset, cfg: FitConfig, x: float) -> LocalFit:
     """Individual-style fit on pseudo responses expanded to member covariates."""
-    return _fit_point(Estimator.MARGINAL, data, cfg, x, pseudo)
+    return _fit_point(Estimator.MARGINAL, data, cfg, x)
 
 
 def estimate_curve(
@@ -716,7 +714,8 @@ def estimate_curve(
 
     A failure at one point (singular or overflowed local system) never
     aborts the rest of the curve. Failed entries hold NaN and are marked in
-    the failed mask.
+    the failed mask. pseudo, for the marginal estimator, must have been
+    built from this data object; any other raises UserInputError.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -288,7 +288,6 @@ def theory_context(dgp: Dgp) -> TheoryContext:
         support=dgp.support,
         mean_derivative=dgp.mean_derivative,
         density_derivative=dgp.density_derivative,
-        sigma2_bar=dgp.sigma**2,
         breakpoints=dgp.breakpoints,
     )
 

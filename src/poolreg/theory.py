@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedKernel,
     UserInputError,
 )
-from .estimators import Estimator
+from .estimators import _RCOND_MIN, Estimator
 from .kernels import KernelKind, compute_moments
 
 __all__ = [
@@ -177,8 +177,8 @@ class TheoryContext:
     mean and density are scalar callables. Derivative callables take
     (x, order) and are optional; central finite differences (4th-order
     stencils, step 1e-4 times max(1, |x|)) fill in when they are absent.
-    sigma2 may be a constant or a callable; sigma2_bar (its mean over the
-    covariate law) is integrated when not supplied. breakpoints lists
+    sigma2 may be a constant or a callable; the mean of a callable over the
+    covariate law is integrated when first needed. breakpoints lists
     interior points where the density is not smooth; the quadrature cuts
     the support there. quad_tol is the absolute error allowed in every
     expectation.
@@ -190,7 +190,6 @@ class TheoryContext:
     support: tuple[float, float]
     mean_derivative: Callable[[float, int], float] | None = None
     density_derivative: Callable[[float, int], float] | None = None
-    sigma2_bar: float | None = None
     breakpoints: tuple[float, ...] = ()
     quad_tol: float = 1e-9
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -264,17 +263,8 @@ class TheoryContext:
         return value
 
     @property
-    def mean_expectation(self) -> float:
-        """mu = E m(X), the marginal mean response."""
-        if "mu" not in self._cache:
-            self._cache["mu"] = self.expect(self.m)
-        return self._cache["mu"]
-
-    @property
     def sigma2_mean(self) -> float:
         """Average noise variance over the covariate law."""
-        if self.sigma2_bar is not None:
-            return float(self.sigma2_bar)
         if not callable(self.sigma2):
             return float(self.sigma2)
         if "s2bar" not in self._cache:
@@ -387,7 +377,7 @@ def moment_matrices(kind: KernelKind, p: int, power: int = 1) -> MomentMatrices:
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] <= 0.0 or s[-1] / s[0] < 1e-13:
+    if s[0] <= 0.0 or s[-1] / s[0] < _RCOND_MIN:
         raise SingularMomentMatrix(f"{what} is singular or too ill conditioned to invert")
     return np.linalg.solve(matrix, rhs)
 

@@ -71,7 +71,7 @@ def average_random_bias_closed_p0():
         mu2 = moment_matrices(KernelKind.EPANECHNIKOV, 0).mu[2]
         f = ctx.f(x)
         nw = h**2 * mu2 * (ctx.beta(x, 1) * ctx.f_deriv(x, 1) / f + ctx.beta(x, 2))
-        return tc[(1, 1)] * (ctx.mean_expectation - ctx.m(x)) + tc[1] * nw
+        return tc[(1, 1)] * (ctx.expect(ctx.m) - ctx.m(x)) + tc[1] * nw
 
     return bias
 

@@ -53,7 +53,7 @@ def rss_pool_oracle(pooled, tag, cfg, h, bounds=None):
     from poolreg.estimators import fit_product_weighted
 
     fitter = fit_average_weighted if tag is Estimator.AVERAGE else fit_product_weighted
-    cfg = FitConfig(p=cfg.p, h=h, kernel=cfg.kernel, rcond_min=cfg.rcond_min)
+    cfg = FitConfig(p=cfg.p, h=h, kernel=cfg.kernel)
     off = pooled.offsets
     total = 0.0
     for j in range(pooled.n_pools):
@@ -73,7 +73,7 @@ def prss_oracle(pooled, cfg, h, bounds=None):
     pseudo = build_pseudo_data(pooled)
     r = pseudo.r_flat
     x = pooled.x_flat
-    cfg = FitConfig(p=cfg.p, h=h, kernel=cfg.kernel, rcond_min=cfg.rcond_min)
+    cfg = FitConfig(p=cfg.p, h=h, kernel=cfg.kernel)
     total = 0.0
     for i in range(x.size):
         if bounds is not None and not (bounds[0] <= x[i] <= bounds[1]):
@@ -476,8 +476,9 @@ def eigvalsh_solve(Ab, cfg, bounds=None):
     s = np.sort(np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], A, 0.0))))
     e = np.sqrt((EA * EA).sum(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        passes = finite & ((s[:, 0] - e) / (s[:, -1] + e) >= cfg.rcond_min)
-        fails = finite & (s[:, -1] > e) & ((s[:, 0] + e) / (s[:, -1] - e) < cfg.rcond_min)
+        tol = estimators._RCOND_MIN
+        passes = finite & ((s[:, 0] - e) / (s[:, -1] + e) >= tol)
+        fails = finite & (s[:, -1] > e) & ((s[:, 0] + e) / (s[:, -1] - e) < tol)
     left_open = ~(passes | fails)
     ok = np.flatnonzero(passes)
     beta = np.full(b.shape, np.nan)

@@ -15,7 +15,8 @@ import pytest
 from poolreg.cli import load_config, main
 from poolreg.data import pool_random, write_individual_csv, write_pooled_csv
 from poolreg.errors import UserInputError
-from poolreg.simulation import get_dgp, sample_dgp
+from poolreg.simulation import get_dgp, sample_dgp, theory_context
+from poolreg import theory
 
 RUN = [sys.executable, "-m", "poolreg.cli"]
 
@@ -506,6 +507,31 @@ class TestTheory:
         _, rows = read_rows(out / "theory.csv")
         assert len(rows) == 20
         assert all(np.isfinite(float(r[3])) for r in rows)
+
+    def test_random_design_keeps_the_remainder_pool(self, tmp_path):
+        # 601 records in pools of 2: simulate's pool_random makes 300 pairs
+        # and a single, and the theory must describe those 301 pools
+        cfg = write_cfg(tmp_path, (
+            "dgp = d3\nn = 601\nc = 2\nestimators = average,marginal\n"
+            "p = 1\nh = 0.3\ngrid_min = 0.5\ngrid_max = 0.5\ngrid_count = 1\n"
+        ))
+        out = tmp_path / "th"
+        proc = run_cli("theory", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_rows(out / "theory.csv")
+        people = sample_dgp(get_dgp("d3"), 601, np.random.default_rng(0))
+        sizes = pool_random(people, 2, np.random.default_rng(1)).sizes
+        assert sizes.size == 301
+        ctx = theory_context(get_dgp("d3"))
+        want = {"average": theory.average_random_summary(ctx, 0.5, 1, 0.3, sizes),
+                "marginal": theory.marginal_random_summary(ctx, 0.5, 1, 0.3, 601, sizes)}
+        assert [r[1] for r in rows] == ["average", "marginal"]
+        for r in rows:
+            s = want[r[1]]
+            variance = np.nan if s.variance is None else s.variance
+            np.testing.assert_allclose([float(v) for v in r[2:]],
+                                       [s.persistent_bias, s.leading_bias, variance],
+                                       rtol=1e-12, atol=0)
 
     def test_cv_config_is_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, THEORY_CFG.replace("h = 0.1", "cv = true"))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from poolreg.data import (
     Design,
     IndividualDataset,
+    PooledDataset,
     ingest_pooled,
     pool_homogeneous,
     pool_random,
@@ -76,11 +77,6 @@ class TestRandomPooling:
         pooled = pool_random(data, 2, np.random.default_rng(0))
         assert pooled.sizes.tolist() == [2, 2, 1]
 
-    def test_require_divisible(self):
-        data = IndividualDataset(x=np.arange(5.0), y=np.ones(5))
-        with pytest.raises(UserInputError):
-            pool_random(data, 2, np.random.default_rng(0), require_divisible=True)
-
     def test_same_seed_reproduces(self):
         data = IndividualDataset(
             x=np.linspace(0, 1, 50), y=np.sin(np.linspace(0, 1, 50))
@@ -109,6 +105,19 @@ class TestHomogeneousPooling:
         pooled = pool_homogeneous(data, 1)
         assert pooled.x_flat.tolist() == [1.0, 2.0, 3.0]
         assert pooled.z.tolist() == [10.0, 20.0, 30.0]
+
+    def test_rejects_interleaved_pools(self):
+        def pooled(sizes, x_flat):
+            return PooledDataset(z=np.zeros(len(sizes)), sizes=sizes, x_flat=x_flat,
+                                 design=Design.HOMOGENEOUS)
+
+        for sizes, x_flat in [((2, 2), (0.0, 2.0, 1.0, 3.0)),
+                              ((1, 3, 2), (0.0, 1.0, 3.0, 2.0, 2.5, 4.0))]:
+            with pytest.raises(ValueError, match="sorted chunks"):
+                pooled(sizes, x_flat)
+        # ties across a boundary and unsorted members inside a pool are fine
+        pooled((2, 1, 3), (1.0, 0.0, 1.0, 3.0, 1.0, 2.0))
+        pooled((1,), (5.0,))
 
 
 @settings(max_examples=60, deadline=None)

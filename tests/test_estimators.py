@@ -90,8 +90,6 @@ class TestFitConfig:
             FitConfig(p=1, h=0.0)
         with pytest.raises(UserInputError):
             FitConfig(p=-1, h=1.0)
-        with pytest.raises(UserInputError):
-            FitConfig(p=1, h=1.0, rcond_min=2.0)
 
 
 class TestIndividual:
@@ -164,6 +162,24 @@ class TestPseudoData:
         # with equal sizes, c_j R_j averages back to mu_hat
         assert abs(lhs - pseudo.mu_hat) <= 1e-12
         assert abs(float(np.mean(pseudo.r)) - pseudo.mu_hat) <= 1e-12
+
+    def test_curve_rejects_pseudo_data_of_another_dataset(self):
+        rng = np.random.default_rng(5)
+        people = IndividualDataset(x=rng.uniform(-1, 1, 60), y=rng.normal(size=60))
+        full = pool_random(people, 2, rng)
+        off = full.offsets
+        subset = PooledDataset(z=full.z[:10], sizes=full.sizes[:10],
+                               x_flat=full.x_flat[:off[10]], design=full.design)
+        repooled = pool_random(people, 2, rng)
+        cfg, grid = FitConfig(p=1, h=0.5), np.linspace(-0.5, 0.5, 5)
+        for data in (subset, repooled):
+            with pytest.raises(UserInputError, match="another dataset"):
+                estimate_curve(Estimator.MARGINAL, data, cfg, grid, pseudo=build_pseudo_data(full))
+        # the dataset's own pseudo data give the curve built without them
+        own = estimate_curve(Estimator.MARGINAL, subset, cfg, grid,
+                             pseudo=build_pseudo_data(subset))
+        plain = estimate_curve(Estimator.MARGINAL, subset, cfg, grid)
+        np.testing.assert_array_equal(own.values, plain.values)
 
 
 class TestPooledFits:
@@ -277,7 +293,7 @@ def random_systems(q, rng, count=300):
     graded like a moment matrix (D A D, D spanning 8 decades) and scaled by
     1e-150, 1 or 1e150. rcond spans 1 down to 1e-16; then come an empty
     system, two non-finite ones and diagonal ones with rcond 1e-9 relative
-    off the default rcond_min on either side.
+    off the rcond threshold 1e-12 on either side.
     """
     out = []
     for k in range(count):
@@ -326,9 +342,9 @@ class TestPlanarSolve:
         cfg = FitConfig(p=q - 1, h=1.0)
         beta, failed, _ = estimators._solve(Ab, cfg)
         rcond, want = oracle_solve(Ab)
-        passes = rcond >= cfg.rcond_min
+        passes = rcond >= estimators._RCOND_MIN
         assert np.isnan(rcond).sum() == 3 and failed[np.isnan(rcond)].all()
-        decided = np.isnan(rcond) | (np.abs(rcond / cfg.rcond_min - 1) > 1e-10)
+        decided = np.isnan(rcond) | (np.abs(rcond / estimators._RCOND_MIN - 1) > 1e-10)
         assert decided.all()
         np.testing.assert_array_equal(failed, ~passes)
         assert passes.any() and (~passes & ~np.isnan(rcond)).any() == (q > 1)
@@ -698,9 +714,9 @@ def dense_reference(tag, data, cfg, points, drop=None):
             continue
         rcond = s[-1] / s[0]
         noise = 8 * (len(groups) + 1) * np.finfo(float).eps * largest / s[0]
-        certain[i] = abs(rcond - cfg.rcond_min) > noise
+        certain[i] = abs(rcond - estimators._RCOND_MIN) > noise
         determined[i] = noise <= 1e-12 * rcond
-        if rcond < cfg.rcond_min:
+        if rcond < estimators._RCOND_MIN:
             failed[i] = True
             continue
         beta[i] = np.linalg.lstsq(A, b, rcond=None)[0] / cfg.h ** np.arange(q)
@@ -892,7 +908,7 @@ class TestRunningSums:
                 assert running.settled - before > 0.7 * points.size, tag
 
     def test_rcond_at_the_threshold_goes_back_to_the_flat_pass(self, monkeypatch):
-        # rows at -+1e-6 with h = 1: rcond is (1e-6)^2, rcond_min itself
+        # rows at -+1e-6 with h = 1: rcond is (1e-6)^2, the threshold itself
         x = np.repeat([-1e-6, 1e-6], 3)
         units = IndividualDataset(x=x, y=np.cos(x))
         cfg = FitConfig(p=1, h=1.0)

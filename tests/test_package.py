@@ -2,6 +2,8 @@
 the acceptance records its Tests section points to."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -39,6 +41,41 @@ def test_public_names():
     assert set(poolreg.__all__) == PUBLIC_NAMES
     for name in poolreg.__all__:
         assert hasattr(poolreg, name), name
+
+
+# every setting of the public API: defaulted parameters of public functions
+# and defaulted init fields of public dataclasses
+OPTIONS = {
+    "AsymptoticSummary.notes", "FitConfig.kernel", "PooledDataset.ids",
+    "ReplicationRecord.failures", "SimulationSpec.c", "SimulationSpec.design",
+    "SimulationSpec.h", "SimulationSpec.kernel", "SimulationSpec.n",
+    "SimulationSpec.p", "SimulationSpec.replications", "SimulationSpec.seed",
+    "SimulationSpec.trim", "SimulationSpec.use_true_mean_reference",
+    "TheoryContext.breakpoints", "TheoryContext.density_derivative",
+    "TheoryContext.mean_derivative", "TheoryContext.quad_tol",
+    "average_random_summary.kernel", "bootstrap_curves.jobs",
+    "compute_moments.power", "default_h_grid.n", "estimate_curve.pseudo",
+    "homogeneous_summary.kernel", "individual_summary.kernel",
+    "marginal_random_summary.kernel", "moment_matrices.power",
+    "product_random_bias.kernel", "run_monte_carlo.jobs",
+    "select_bandwidth.criterion", "select_bandwidth.grid",
+    "select_bandwidth.jobs", "select_bandwidth.trim",
+}
+
+
+def test_option_surface():
+    # a new setting fails here until it is added to OPTIONS
+    found = set()
+    for name in poolreg.__all__:
+        obj = getattr(poolreg, name)
+        if dataclasses.is_dataclass(obj):
+            found |= {f"{name}.{f.name}" for f in dataclasses.fields(obj) if f.init and (
+                f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING)}
+        elif inspect.isfunction(obj):
+            found |= {f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
+                      if p.default is not inspect.Parameter.empty}
+    assert found == OPTIONS
 
 
 SUBMODULES = {"bandwidth", "data", "errors", "estimators", "kernels", "simulation", "theory"}
