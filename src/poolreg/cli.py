@@ -332,6 +332,9 @@ def _choose_bandwidth(cfg: RunConfig, data, tag: Estimator, out_dir: Path) -> fl
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
+    if cfg.criterion != "pseudo":
+        raise UserInputError("simulate cross-validates with criterion = pseudo only; "
+                             "criterion = pool applies to fit, bandwidth and bootstrap")
     spec = SimulationSpec(
         dgp=get_dgp(cfg.dgp),
         estimators=cfg.estimators,
@@ -439,6 +442,7 @@ def cmd_theory(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.use_cv:
         raise UserInputError("theory needs a numeric 'h'; cross-validation "
                              "applies to data fits only")
+    _fit_config(cfg, cfg.h)  # rejects p < 0 and h <= 0 as fits do
     if cfg.n < cfg.c:
         raise UserInputError(f"n = {cfg.n} cannot hold even one pool of size {cfg.c}")
     ctx = theory_context(get_dgp(cfg.dgp))

@@ -54,7 +54,6 @@ __all__ = [
     "DGP_REGISTRY",
     "get_dgp",
     "sample_dgp",
-    "dgp_mean",
     "theory_context",
     "ise",
     "SimulationSpec",
@@ -275,10 +274,6 @@ def sample_dgp(dgp: Dgp, n: int, rng: np.random.Generator) -> IndividualDataset:
     return IndividualDataset(x=x, y=y)
 
 
-def dgp_mean(dgp: Dgp, x) -> np.ndarray:
-    return dgp.mean(np.asarray(x, dtype=float))
-
-
 def theory_context(dgp: Dgp) -> TheoryContext:
     """Bridge a generator to the asymptotic formulas, closed forms throughout."""
     return TheoryContext(
@@ -385,7 +380,7 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
     grid_arr = np.asarray(spec.grid, dtype=float)
     n_grid = grid_arr.size
     eval_points = np.concatenate([grid_arr, individual.x])
-    reference = (dgp_mean(spec.dgp, individual.x)
+    reference = (spec.dgp.mean(individual.x)
                  if spec.use_true_mean_reference else individual.y)
 
     curves: dict = {}
@@ -489,13 +484,8 @@ def _bootstrap_one(
     grid: np.ndarray,
     rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    resample = _resample_pools(data, rows)
-    try:
-        curve = estimate_curve(tag, resample, cfg, grid)
-        return curve.values, curve.failed
-    except NumericalFailure:
-        g = np.asarray(grid).size
-        return np.full(g, np.nan), np.ones(g, dtype=bool)
+    curve = estimate_curve(tag, _resample_pools(data, rows), cfg, grid)
+    return curve.values, curve.failed
 
 
 def bootstrap_curves(

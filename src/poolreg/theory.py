@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,13 +64,7 @@ from .kernels import KernelKind, compute_moments
 
 __all__ = [
     "TheoryContext",
-    "MomentMatrices",
-    "PoolConstants",
     "AsymptoticSummary",
-    "moment_matrices",
-    "pool_constants",
-    "covariate_moments",
-    "remainder_moments",
     "average_random_summary",
     "product_random_bias",
     "marginal_random_summary",
@@ -177,8 +171,8 @@ class TheoryContext:
     mean and density are scalar callables. Derivative callables take
     (x, order) and are optional; central finite differences (4th-order
     stencils, step 1e-4 times max(1, |x|)) fill in when they are absent.
-    sigma2 may be a constant or a callable; the mean of a callable over the
-    covariate law is integrated when first needed. breakpoints lists
+    sigma2 may be a constant or a callable; sigma2_mean integrates a callable
+    over the covariate law each time it is read. breakpoints lists
     interior points where the density is not smooth; the quadrature cuts
     the support there. quad_tol is the absolute error allowed in every
     expectation.
@@ -192,7 +186,6 @@ class TheoryContext:
     density_derivative: Callable[[float, int], float] | None = None
     breakpoints: tuple[float, ...] = ()
     quad_tol: float = 1e-9
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         a, b = self.support
@@ -267,27 +260,19 @@ class TheoryContext:
         """Average noise variance over the covariate law."""
         if not callable(self.sigma2):
             return float(self.sigma2)
-        if "s2bar" not in self._cache:
-            self._cache["s2bar"] = self.expect(self.sigma2)
-        return self._cache["s2bar"]
+        return self.expect(self.sigma2)
 
 
-def covariate_moments(ctx: TheoryContext, x: float, ell_max: int) -> np.ndarray:
+def _covariate_moments(ctx: TheoryContext, x: float, ell_max: int) -> np.ndarray:
     """delta_ell(x) = E (X - x)^ell for ell = 0 .. ell_max.
 
     The zeroth moment is 1 by definition and is not re-estimated.
     """
-    out = np.empty(ell_max + 1)
-    out[0] = 1.0
-    for ell in range(1, ell_max + 1):
-        key = ("delta", x, ell)
-        if key not in ctx._cache:
-            ctx._cache[key] = ctx.expect(lambda s, e=ell: (s - x) ** e)
-        out[ell] = ctx._cache[key]
-    return out
+    return np.array([1.0] + [ctx.expect(lambda s, e=ell: (s - x) ** e)
+                             for ell in range(1, ell_max + 1)])
 
 
-def remainder_moments(ctx: TheoryContext, x: float, p: int, ell_max: int) -> np.ndarray:
+def _remainder_moments(ctx: TheoryContext, x: float, p: int, ell_max: int) -> np.ndarray:
     """R_{ell,p}(x) = E (X - x)^ell {m(X) - sum_{l<=p} beta_l (X - x)^l}."""
     betas = [ctx.beta(x, ell) for ell in range(p + 1)]
 
@@ -297,82 +282,58 @@ def remainder_moments(ctx: TheoryContext, x: float, p: int, ell_max: int) -> np.
             taylor += b * (s - x) ** ell
         return ctx.m(s) - taylor
 
-    out = np.empty(ell_max + 1)
-    for ell in range(ell_max + 1):
-        key = ("remainder", x, p, ell)
-        if key not in ctx._cache:
-            ctx._cache[key] = ctx.expect(lambda s, e=ell: (s - x) ** e * r_p(s))
-        out[ell] = ctx._cache[key]
-    return out
+    return np.array([ctx.expect(lambda s, e=ell: (s - x) ** e * r_p(s))
+                     for ell in range(ell_max + 1)])
 
 
-@dataclass(frozen=True)
-class PoolConstants:
-    """Size-driven constants entering the random-pooling expansions.
-
-    t0[k] averages c_j^-k over pools; t[(k1, k2)] averages
-    max(prod_{k=1..k2}(c_j - k), 0) / c_j^k1. With unit pools every t0 is
-    1 and every t[(k1, k2)] is 0.
-    """
-
-    t0: tuple[float, float, float]
-    t: dict[tuple[int, int], float]
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            return self.t0[key]
-        return self.t[key]
-
-
-def pool_constants(pool_sizes) -> PoolConstants:
-    c = np.asarray(pool_sizes, dtype=float)
-    if c.size == 0 or np.any(c < 1):
+def _pool_sizes(pool_sizes) -> np.ndarray:
+    sizes = np.asarray(pool_sizes, dtype=float)
+    if sizes.size == 0 or np.any(sizes < 1):
         raise UserInputError("pool sizes must be a nonempty sequence of integers >= 1")
-    t0 = tuple(float(np.mean(c**-k)) for k in range(3))
-    t = {}
-    for k1 in (1, 2, 3):
-        for k2 in (1, 2, 3):
-            prod = np.ones_like(c)
-            for k in range(1, k2 + 1):
-                prod = prod * (c - k)
-            t[(k1, k2)] = float(np.mean(np.maximum(prod, 0.0) / c**k1))
-    return PoolConstants(t0=t0, t=t)
+    return sizes
 
 
-@dataclass(frozen=True)
-class MomentMatrices:
-    """Kernel moment vectors and matrices for polynomial order p.
+def _pool_averages(pool_sizes) -> tuple[float, float, float, float]:
+    """Means over pools of c^-1, c^-2, (c - 1)/c^2 and (c - 1)(c - 2)/c^2.
 
-    mu holds moments of K^power, nu those of K^(2 power); power > 1 is the
-    pooled-power variant used by the product-weighted estimator on
-    homogeneous data.
+    These are the size-driven constants of the random-pooling expansions;
+    with unit pools they are 1, 1, 0 and 0.
     """
-
-    kind: KernelKind
-    p: int
-    power: int
-    mu: tuple[float, ...]
-    nu: tuple[float, ...]
-
-    def mu_star(self, ell: int) -> np.ndarray:
-        return np.array(self.mu[ell:ell + self.p + 1])
-
-    def mu_tilde(self, ell: int) -> np.ndarray:
-        idx = np.arange(self.p + 1)
-        return np.array(self.mu)[idx[:, None] + idx[None, :] + ell]
-
-    def nu_tilde0(self) -> np.ndarray:
-        idx = np.arange(self.p + 1)
-        return np.array(self.nu)[idx[:, None] + idx[None, :]]
-
-
-def moment_matrices(kind: KernelKind, p: int, power: int = 1) -> MomentMatrices:
-    max_order = 2 * p + 2
-    return MomentMatrices(
-        kind=kind, p=p, power=power,
-        mu=compute_moments(kind, max_order, power=power),
-        nu=compute_moments(kind, max_order, power=2 * power),
+    c = _pool_sizes(pool_sizes)
+    return (
+        float(np.mean(c**-1)),
+        float(np.mean(c**-2)),
+        float(np.mean((c - 1) / c**2)),
+        float(np.mean(np.maximum((c - 1) * (c - 2), 0.0) / c**2)),
     )
+
+
+def _kernel_moments(kind: KernelKind, p: int, power: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """mu and nu, the moments of K^power and K^(2 power) of orders 0 .. 2p + 2.
+
+    power > 1 is the pooled power used by the product-weighted estimator
+    on homogeneous data.
+    """
+    max_order = 2 * p + 2
+    return (np.array(compute_moments(kind, max_order, power=power)),
+            np.array(compute_moments(kind, max_order, power=2 * power)))
+
+
+def _hankel(v: np.ndarray, p: int, ell: int = 0) -> np.ndarray:
+    """The (p + 1) x (p + 1) moment matrix with entries v[i + j + ell]."""
+    idx = np.arange(p + 1)
+    return v[idx[:, None] + idx[None, :] + ell]
+
+
+def _density(ctx: TheoryContext, x: float) -> float:
+    """f(x), which every expansion divides by; it must be positive."""
+    f = ctx.f(x)
+    if not f > 0.0:
+        raise UserInputError(
+            f"the covariate density is {f:g} at x={x:g}; the asymptotic "
+            "expansions need f(x) > 0"
+        )
+    return f
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -418,40 +379,38 @@ def average_random_summary(
     pools have a single member. The variance constant is not available at
     this level of the expansion, so only its order is reported.
     """
-    mm = moment_matrices(kernel, p)
-    tc = pool_constants(pool_sizes)
-    delta = covariate_moments(ctx, x, 2 * p)
-    idx = np.arange(p + 1)
-    delta_star = delta[idx]
-    delta_tilde = delta[idx[:, None] + idx[None, :]]
-    r_star = remainder_moments(ctx, x, p, p)
+    mu, _ = _kernel_moments(kernel, p)
+    t1, t2, t21, t22 = _pool_averages(pool_sizes)
+    delta = _covariate_moments(ctx, x, 2 * p)
+    delta_star = delta[:p + 1]
+    delta_tilde = _hankel(delta, p)
+    r_star = _remainder_moments(ctx, x, p, p)
     r0 = r_star[0]
-    f = ctx.f(x)
+    f = _density(ctx, x)
     f1 = ctx.f_deriv(x, 1)
     f2 = ctx.f_deriv(x, 2)
-    mu2 = mm.mu[2]
+    mu2 = mu[2]
     e1 = _basis(p, 0)
+    mu0s, mu1s, mu2s = (mu[ell:ell + p + 1] for ell in range(3))
 
     m0 = (
-        tc[2] * mm.mu_tilde(0)
-        + tc[(2, 1)] * (delta_tilde + np.outer(delta_star, mm.mu_star(0))
-                        + np.outer(mm.mu_star(0), delta_star))
-        + tc[(2, 2)] * np.outer(delta_star, delta_star)
+        t2 * _hankel(mu, p)
+        + t21 * (delta_tilde + np.outer(delta_star, mu0s) + np.outer(mu0s, delta_star))
+        + t22 * np.outer(delta_star, delta_star)
     )
-    m1 = tc[2] * mm.mu_tilde(1) + tc[(2, 1)] * (
-        np.outer(delta_star, mm.mu_star(1)) + np.outer(mm.mu_star(1), delta_star)
+    m1 = t2 * _hankel(mu, p, 1) + t21 * (
+        np.outer(delta_star, mu1s) + np.outer(mu1s, delta_star)
     )
     m2 = (
-        tc[2] * mm.mu_tilde(2)
-        + tc[(2, 1)] * (mu2 * delta_tilde + np.outer(delta_star, mm.mu_star(2))
-                        + np.outer(mm.mu_star(2), delta_star))
-        + tc[(2, 2)] * mu2 * np.outer(delta_star, delta_star)
+        t2 * _hankel(mu, p, 2)
+        + t21 * (mu2 * delta_tilde + np.outer(delta_star, mu2s) + np.outer(mu2s, delta_star))
+        + t22 * mu2 * np.outer(delta_star, delta_star)
     )
-    l0 = tc[(2, 1)] * (r0 * e1 + r_star) + tc[(2, 2)] * r0 * delta_star
+    l0 = t21 * (r0 * e1 + r_star) + t22 * r0 * delta_star
     # the beta_2 indicator must cover p <= 1, not just p = 0: that is the
     # choice that reproduces the classical local linear bias when every
     # pool has a single member
-    l1 = tc[1] * (
+    l1 = t1 * (
         ctx.beta(x, 1) * f1 * (1.0 if p == 0 else 0.0)
         + ctx.beta(x, 2) * f * (1.0 if p <= 1 else 0.0)
     ) * e1
@@ -460,8 +419,8 @@ def average_random_summary(
         l2_parts = l2_parts + f1 * _basis(p, 1)
     if p >= 2:
         l2_parts = l2_parts + f * _basis(p, 2)
-    l2 = tc[(2, 1)] * r0 * l2_parts
-    l3 = tc[(2, 1)] * r_star + tc[(2, 2)] * r0 * delta_star
+    l2 = t21 * r0 * l2_parts
+    l3 = t21 * r_star + t22 * r0 * delta_star
 
     m0_inv_l0 = _solve(m0, l0, "the pooled design moment matrix")
     persistent = float(m0_inv_l0[0])
@@ -495,7 +454,7 @@ def product_random_bias(
     """
     if c < 1:
         raise UserInputError(f"pool size must be at least 1, got {c}")
-    bias = _local_bias(ctx, x, p, h, moment_matrices(kernel, p), c)
+    bias = _local_bias(ctx, x, p, h, _kernel_moments(kernel, p)[0], c)
     return AsymptoticSummary(
         estimator=Estimator.PRODUCT, design=Design.RANDOM, x=x, p=p, h=h,
         persistent_bias=0.0, leading_bias=bias,
@@ -505,26 +464,24 @@ def product_random_bias(
 
 
 def _local_bias(
-    ctx: TheoryContext, x: float, p: int, h: float, mm: MomentMatrices, c: int = 1,
+    ctx: TheoryContext, x: float, p: int, h: float, mu: np.ndarray, c: int = 1,
 ) -> float:
     """Leading bias of a local polynomial fit, with its first correction in h.
 
     c is the common pool size of the product-weighted estimator under
     random pooling; every (c - 1) term vanishes at c = 1, which leaves the
-    classical expansion on unit-level responses with the moments of mm.
+    classical expansion on unit-level responses with the kernel moments mu.
     """
     what = "the kernel moment matrix" if c == 1 else "the product-weight moment matrix"
-    f = ctx.f(x)
+    f = _density(ctx, x)
     f1 = ctx.f_deriv(x, 1)
     bp1 = ctx.beta(x, p + 1)
     bp2 = ctx.beta(x, p + 2)
-    mu0s = mm.mu_star(0)
-    a = mm.mu_tilde(0) + (c - 1) * np.outer(mu0s, mu0s)
-    b1 = mm.mu_star(p + 1) + (c - 1) * mm.mu[p + 1] * mu0s
-    b2 = mm.mu_star(p + 2) + (c - 1) * mm.mu[p + 2] * mu0s
-    mid = mm.mu_tilde(1) + (c - 1) * (
-        np.outer(mu0s, mm.mu_star(1)) + np.outer(mm.mu_star(1), mu0s)
-    )
+    mu0s, mu1s = mu[:p + 1], mu[1:p + 2]
+    a = _hankel(mu, p) + (c - 1) * np.outer(mu0s, mu0s)
+    b1 = mu[p + 1:2 * p + 2] + (c - 1) * mu[p + 1] * mu0s
+    b2 = mu[p + 2:2 * p + 3] + (c - 1) * mu[p + 2] * mu0s
+    mid = _hankel(mu, p, 1) + (c - 1) * (np.outer(mu0s, mu1s) + np.outer(mu1s, mu0s))
     a_inv_b1 = _solve(a, b1, what)
     lead = bp1 * a_inv_b1
     corr = (bp2 * f + bp1 * f1) * _solve(a, b2, what) \
@@ -543,10 +500,10 @@ def _unit_style_summary(
     moment matrix^-1, squared-kernel matrix, moment matrix^-1) times
     (sigma^2(x) + extra_variance) / (N h f(x)).
     """
-    mm = moment_matrices(kernel, p, power=power)
-    bias = _local_bias(ctx, x, p, h, mm)
-    left = _solve(mm.mu_tilde(0), _basis(p, 0), "the kernel moment matrix")
-    sandwich = float(left @ mm.nu_tilde0() @ left)
+    mu, nu = _kernel_moments(kernel, p, power)
+    bias = _local_bias(ctx, x, p, h, mu)
+    left = _solve(_hankel(mu, p), _basis(p, 0), "the kernel moment matrix")
+    sandwich = float(left @ _hankel(nu, p) @ left)
     variance = (ctx.sigma2_at(x) + extra_variance) / (n_units * h * ctx.f(x)) * sandwich
     return AsymptoticSummary(
         estimator=estimator, design=design, x=x, p=p, h=h,
@@ -585,9 +542,7 @@ def marginal_random_summary(
     with equal pools of size c and a constant noise variance the inflation
     ratio over individual data is exactly c.
     """
-    sizes = np.asarray(pool_sizes, dtype=float)
-    if sizes.size == 0 or np.any(sizes < 1):
-        raise UserInputError("pool sizes must be a nonempty sequence of integers >= 1")
+    sizes = _pool_sizes(pool_sizes)
     inflation = ctx.sigma2_mean * float(np.sum(sizes * (sizes - 1.0))) / sizes.sum()
     return _unit_style_summary(
         ctx, Estimator.MARGINAL, Design.RANDOM, x, p, h, n_units, kernel,

@@ -58,20 +58,22 @@ def quad_moment():
 def average_random_bias_closed_p0():
     """Local constant special case of the average-weighted dominating bias.
 
-    Epanechnikov kernel. A size-mix multiple of E{m(X) - m(x)} plus a size-mix multiple of the
-    classical local constant bias. It coincides with the general expansion
+    Epanechnikov kernel. The pool mean of (c - 1)/c times E{m(X) - m(x)} plus
+    the pool mean of 1/c times the classical local constant bias. It coincides with the general expansion
     wherever the density has zero second derivative at x; elsewhere the two
     differ in an h^2 curvature cross-term that this short form drops.
     """
-    from poolreg.kernels import KernelKind
-    from poolreg.theory import moment_matrices, pool_constants
+    import numpy as np
+
+    from poolreg.kernels import KernelKind, compute_moments
 
     def bias(ctx, x, h, pool_sizes):
-        tc = pool_constants(pool_sizes)
-        mu2 = moment_matrices(KernelKind.EPANECHNIKOV, 0).mu[2]
+        c = np.asarray(pool_sizes, dtype=float)
+        mu2 = compute_moments(KernelKind.EPANECHNIKOV, 2)[2]
         f = ctx.f(x)
         nw = h**2 * mu2 * (ctx.beta(x, 1) * ctx.f_deriv(x, 1) / f + ctx.beta(x, 2))
-        return tc[(1, 1)] * (ctx.expect(ctx.m) - ctx.m(x)) + tc[1] * nw
+        return float(np.mean((c - 1) / c)) * (ctx.expect(ctx.m) - ctx.m(x)) \
+            + float(np.mean(c**-1)) * nw
 
     return bias
 

@@ -212,6 +212,17 @@ class TestSimulate:
         for name in ("replications.csv", "curves.csv", "quartiles.csv", "failures.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_pool_criterion_is_rejected(self, tmp_path):
+        # replications cross-validate with the pseudo criterion only, so a
+        # pool criterion would be echoed in resolved-config but not used
+        cfg = write_cfg(tmp_path, SIMULATE_CFG.replace("h = 0.8", "cv = true")
+                        + "criterion = pool\n")
+        out = tmp_path / "res"
+        proc = run_cli("simulate", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "criterion = pool" in proc.stderr
+        assert not (out / "replications.csv").exists()
+
     def test_failures_csv_keeps_every_failed_fit(self, tmp_path):
         # at this fixed h some product replications leave points without a
         # full pool inside the window, others fit everywhere
@@ -537,6 +548,30 @@ class TestTheory:
         cfg = write_cfg(tmp_path, THEORY_CFG.replace("h = 0.1", "cv = true"))
         proc = run_cli("theory", "--config", cfg, "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("p = 0", "p = -1", "polynomial order must be >= 0"),
+        ("h = 0.1", "h = -0.25", "bandwidth must be positive"),
+        ("h = 0.1", "h = 0", "bandwidth must be positive"),
+    ])
+    def test_order_and_bandwidth_are_checked_as_in_fits(self, tmp_path, old, new, message):
+        cfg = write_cfg(tmp_path, THEORY_CFG.replace(old, new))
+        out = tmp_path / "x"
+        proc = run_cli("theory", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "theory.csv").exists()
+
+    def test_point_of_zero_density_exits_2_naming_it(self, tmp_path):
+        # the d2 covariate law has no mass below -2, and the expansions
+        # divide by the density
+        cfg = write_cfg(tmp_path, THEORY_CFG.replace("dgp = quadratic", "dgp = d2")
+                                           .replace("grid_min = -0.5", "grid_min = -3"))
+        proc = run_cli("theory", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2, proc.stderr
+        assert "density is 0 at x=-3" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestBootstrap:

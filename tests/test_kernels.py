@@ -7,7 +7,7 @@ from scipy.special import beta as beta_fn
 
 from poolreg.errors import UnsupportedKernel
 from poolreg.kernels import KernelKind, compute_moments, kernel_eval
-from poolreg.theory import moment_matrices
+from poolreg.theory import _kernel_moments
 
 ALL_KINDS = list(KernelKind)
 
@@ -60,37 +60,37 @@ class TestEvaluation:
 
 class TestMoments:
     def test_epanechnikov_key_moments(self):
-        table = moment_matrices(KernelKind.EPANECHNIKOV, 1)
-        assert abs(table.mu[0] - 1.0) <= 1e-12
-        assert abs(table.mu[2] - 0.2) <= 1e-12
-        assert abs(table.nu[0] - 0.6) <= 1e-12
-        assert abs(table.nu[2] - 3.0 / 35.0) <= 1e-12
-        assert abs(table.mu[4] - 3.0 / 35.0) <= 1e-12
+        mu, nu = _kernel_moments(KernelKind.EPANECHNIKOV, 1)
+        assert abs(mu[0] - 1.0) <= 1e-12
+        assert abs(mu[2] - 0.2) <= 1e-12
+        assert abs(nu[0] - 0.6) <= 1e-12
+        assert abs(nu[2] - 3.0 / 35.0) <= 1e-12
+        assert abs(mu[4] - 3.0 / 35.0) <= 1e-12
 
     def test_quartic_and_triweight_key_moments(self):
-        q = moment_matrices(KernelKind.QUARTIC, 0)
-        assert abs(q.mu[2] - 1.0 / 7.0) <= 1e-12
-        assert abs(q.nu[0] - 5.0 / 7.0) <= 1e-12
-        t = moment_matrices(KernelKind.TRIWEIGHT, 0)
-        assert abs(t.mu[2] - 1.0 / 9.0) <= 1e-12
-        assert abs(t.nu[0] - 350.0 / 429.0) <= 1e-12
+        q_mu, q_nu = _kernel_moments(KernelKind.QUARTIC, 0)
+        assert abs(q_mu[2] - 1.0 / 7.0) <= 1e-12
+        assert abs(q_nu[0] - 5.0 / 7.0) <= 1e-12
+        t_mu, t_nu = _kernel_moments(KernelKind.TRIWEIGHT, 0)
+        assert abs(t_mu[2] - 1.0 / 9.0) <= 1e-12
+        assert abs(t_nu[0] - 350.0 / 429.0) <= 1e-12
 
     def test_tricube_against_beta_function(self):
         # independent closed form: integral of t^ell (1-t^3)^M over [0,1]
         # equals B((ell+1)/3, M+1)/3 for even ell
-        table = moment_matrices(KernelKind.TRICUBE, 0)
+        mu, nu = _kernel_moments(KernelKind.TRICUBE, 0)
         mu2 = (70.0 / 81.0) * (2.0 / 3.0) * beta_fn(1.0, 4.0)
         nu0 = (70.0 / 81.0) ** 2 * (2.0 / 3.0) * beta_fn(1.0 / 3.0, 7.0)
-        assert abs(table.mu[2] - mu2) <= 1e-12
-        assert abs(table.nu[0] - nu0) <= 1e-12
-        assert abs(table.mu[2] - 35.0 / 243.0) <= 1e-12
+        assert abs(mu[2] - mu2) <= 1e-12
+        assert abs(nu[0] - nu0) <= 1e-12
+        assert abs(mu[2] - 35.0 / 243.0) <= 1e-12
 
     def test_gaussian_key_moments(self):
-        table = moment_matrices(KernelKind.GAUSSIAN, 1)
-        assert abs(table.mu[0] - 1.0) <= 1e-12
-        assert abs(table.mu[2] - 1.0) <= 1e-12
-        assert abs(table.mu[4] - 3.0) <= 1e-11
-        assert abs(table.nu[0] - 1.0 / (2.0 * math.sqrt(math.pi))) <= 1e-12
+        mu, nu = _kernel_moments(KernelKind.GAUSSIAN, 1)
+        assert abs(mu[0] - 1.0) <= 1e-12
+        assert abs(mu[2] - 1.0) <= 1e-12
+        assert abs(mu[4] - 3.0) <= 1e-11
+        assert abs(nu[0] - 1.0 / (2.0 * math.sqrt(math.pi))) <= 1e-12
         # moments of K itself are the double factorials (ell - 1)!!, exactly,
         # including order 8, where quadrature over the real line fails
         mu = compute_moments(KernelKind.GAUSSIAN, 10)
@@ -116,13 +116,13 @@ class TestMoments:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_power_one_is_the_plain_moment(self, kind):
-        table = moment_matrices(kind, 1, power=1)
-        assert table.mu == compute_moments(kind, 4)
-        assert table.nu == compute_moments(kind, 4, power=2)
+        mu, nu = _kernel_moments(kind, 1, power=1)
+        assert tuple(mu) == compute_moments(kind, 4)
+        assert tuple(nu) == compute_moments(kind, 4, power=2)
 
     def test_power_two_equals_squared_kernel_moments(self):
-        assert (moment_matrices(KernelKind.GAUSSIAN, 1, power=2).mu
-                == moment_matrices(KernelKind.GAUSSIAN, 1).nu)
+        assert np.array_equal(_kernel_moments(KernelKind.GAUSSIAN, 1, power=2)[0],
+                              _kernel_moments(KernelKind.GAUSSIAN, 1)[1])
 
     def test_pooled_power_moments_decrease(self):
         # raising a bounded density-like kernel to a higher power shrinks mass

@@ -16,20 +16,18 @@ PUBLIC_NAMES = {
     "AsymptoticSummary", "BootstrapBands", "CurveEstimate", "CvTrace",
     "DGP_REGISTRY", "Design", "Dgp", "DivergentMoment", "EmptyDataset",
     "Estimator", "FitConfig", "FoldFailure", "IncompleteCurve",
-    "IndividualDataset", "KernelKind", "LocalFit", "MomentMatrices",
-    "NoValidBandwidth", "NonFiniteValue", "NonPositiveBandwidth",
-    "NumericalFailure", "OrphanPool", "PoolConstants", "PooledDataset",
-    "PoolregError", "PseudoData", "ReplicationRecord", "SimulationSpec",
-    "SingularLocalSystem", "SingularMomentMatrix", "TheoryContext",
-    "TooFewRecords", "UnsupportedKernel", "UserInputError",
+    "IndividualDataset", "KernelKind", "LocalFit", "NoValidBandwidth",
+    "NonFiniteValue", "NonPositiveBandwidth", "NumericalFailure", "OrphanPool",
+    "PooledDataset", "PoolregError", "PseudoData", "ReplicationRecord",
+    "SimulationSpec", "SingularLocalSystem", "SingularMomentMatrix",
+    "TheoryContext", "TooFewRecords", "UnsupportedKernel", "UserInputError",
     "average_random_summary", "bootstrap_curves", "build_pseudo_data",
-    "compute_moments", "covariate_moments", "default_h_grid", "dgp_mean",
-    "estimate_curve", "fit_average_weighted", "fit_individual",
-    "fit_marginal_integration", "fit_product_weighted", "get_dgp",
-    "homogeneous_summary", "individual_summary", "ingest_pooled", "ise",
-    "kernel_eval", "marginal_random_summary", "moment_matrices",
-    "pool_constants", "pool_homogeneous", "pool_random", "product_random_bias",
-    "read_individual_csv", "read_pooled_csv", "remainder_moments",
+    "compute_moments", "default_h_grid", "estimate_curve",
+    "fit_average_weighted", "fit_individual", "fit_marginal_integration",
+    "fit_product_weighted", "get_dgp", "homogeneous_summary",
+    "individual_summary", "ingest_pooled", "ise", "kernel_eval",
+    "marginal_random_summary", "pool_homogeneous", "pool_random",
+    "product_random_bias", "read_individual_csv", "read_pooled_csv",
     "run_monte_carlo", "sample_dgp", "select_bandwidth",
     "select_quartile_realizations", "theory_context", "trim_bounds_for",
     "write_individual_csv", "write_pooled_csv",
@@ -56,8 +54,7 @@ OPTIONS = {
     "average_random_summary.kernel", "bootstrap_curves.jobs",
     "compute_moments.power", "default_h_grid.n", "estimate_curve.pseudo",
     "homogeneous_summary.kernel", "individual_summary.kernel",
-    "marginal_random_summary.kernel", "moment_matrices.power",
-    "product_random_bias.kernel", "run_monte_carlo.jobs",
+    "marginal_random_summary.kernel", "product_random_bias.kernel", "run_monte_carlo.jobs",
     "select_bandwidth.criterion", "select_bandwidth.grid",
     "select_bandwidth.jobs", "select_bandwidth.trim",
 }
@@ -76,6 +73,23 @@ def test_option_surface():
             found |= {f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
                       if p.default is not inspect.Parameter.empty}
     assert found == OPTIONS
+
+
+def test_every_public_name_is_used_or_documented():
+    # a public name must serve the package itself or a reader of the README,
+    # not only the tests; def/class names and __all__ strings are no use
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in (root / "src" / "poolreg").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (root / "README.md").read_text()
+    idle = [name for name in poolreg.__all__
+            if name not in used and not re.search(rf"\b{name}\b", readme)]
+    assert idle == []
 
 
 SUBMODULES = {"bandwidth", "data", "errors", "estimators", "kernels", "simulation", "theory"}

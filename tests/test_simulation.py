@@ -19,7 +19,6 @@ from poolreg.simulation import (
     SimulationSpec,
     _resample_pools,
     bootstrap_curves,
-    dgp_mean,
     get_dgp,
     ise,
     run_monte_carlo,
@@ -43,10 +42,10 @@ class TestRegistry:
             get_dgp("mystery")
 
     def test_mean_values(self):
-        assert dgp_mean(get_dgp("d3"), 2.0) == 8.0
-        assert dgp_mean(get_dgp("d1"), 0.0) == 0.0
-        assert dgp_mean(get_dgp("d2"), 0.0) == 0.0
-        assert dgp_mean(get_dgp("quadratic"), 0.5) == 0.25
+        assert get_dgp("d3").mean(2.0) == 8.0
+        assert get_dgp("d1").mean(0.0) == 0.0
+        assert get_dgp("d2").mean(0.0) == 0.0
+        assert get_dgp("quadratic").mean(0.5) == 0.25
 
     def test_noise_levels(self):
         assert [DGP_REGISTRY[k].sigma for k in ("d1", "d2", "d3", "d4")] == \

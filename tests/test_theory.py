@@ -25,15 +25,16 @@ from poolreg.simulation import DGP_REGISTRY, theory_context
 from poolreg.theory import (
     AsymptoticSummary,
     TheoryContext,
+    _covariate_moments,
+    _hankel,
+    _kernel_moments,
+    _pool_averages,
+    _remainder_moments,
     average_random_summary,
-    covariate_moments,
     homogeneous_summary,
     individual_summary,
     marginal_random_summary,
-    moment_matrices,
-    pool_constants,
     product_random_bias,
-    remainder_moments,
 )
 
 
@@ -112,7 +113,7 @@ class TestContextValidation:
             sigma2=1.0, support=(-np.inf, np.inf),
         )
         with pytest.raises(DivergentMoment):
-            covariate_moments(ctx, 0.5, 2)
+            _covariate_moments(ctx, 0.5, 2)
 
     @pytest.mark.parametrize("x", [0.0, 0.5])
     @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -139,6 +140,20 @@ class TestContextValidation:
         )
         assert varying.sigma2_at(0.5) == 1.25
         assert abs(varying.sigma2_mean - (1.0 + 1.0 / 3.0)) < 1e-9
+
+    @pytest.mark.parametrize("summary", [
+        lambda ctx, x: average_random_summary(ctx, x, 1, 0.3, [2, 2]),
+        lambda ctx, x: product_random_bias(ctx, x, 1, 0.3, 2),
+        lambda ctx, x: marginal_random_summary(ctx, x, 1, 0.3, 100, [2, 2]),
+        lambda ctx, x: individual_summary(ctx, x, 1, 0.3, 100),
+        lambda ctx, x: homogeneous_summary(ctx, Estimator.PRODUCT, x, 1, 0.3, 100, 2),
+    ], ids=["average", "product", "marginal", "individual", "homogeneous"])
+    def test_point_of_zero_density_is_named(self, summary):
+        # the d2 covariate law has no mass outside [-2, 2]; every expansion
+        # divides by f(x)
+        ctx = theory_context(DGP_REGISTRY["d2"])
+        with pytest.raises(UserInputError, match=r"density is 0 at x=-3\b"):
+            summary(ctx, -3.0)
 
 
 def exponential_ctx():
@@ -178,16 +193,16 @@ class TestQuadratureOracle:
     def test_registry_laws_match_quad(self, quad_oracle, key):
         ctx = theory_context(DGP_REGISTRY[key])
         for x in (-1.5, -1.0, 0.0, 0.7, 1.0):
-            covariate_moments(ctx, x, 4)
+            _covariate_moments(ctx, x, 4)
             for p in (1, 2):
-                remainder_moments(ctx, x, p, 4)
+                _remainder_moments(ctx, x, p, 4)
         assert len(quad_oracle) == 1 + 5 * (4 + 2 * 5)
 
     @pytest.mark.parametrize("declared", [(0.0,), ()])
     def test_triangular_law_with_and_without_its_breakpoint(self, quad_oracle, declared):
         ctx = replace(triangular_ctx(*cubic_mean()), breakpoints=declared)
-        delta = covariate_moments(ctx, 0.3, 4)
-        remainder_moments(ctx, 0.3, 1, 3)
+        delta = _covariate_moments(ctx, 0.3, 4)
+        _remainder_moments(ctx, 0.3, 1, 3)
         # E X^2 = 1/6 under f(s) = 1 - |s|, so E (X - 0.3)^2 = 1/6 + 0.09
         assert abs(delta[2] - (1.0 / 6.0 + 0.09)) < 1e-12
         # both contexts, before and after replace, check their mass
@@ -195,9 +210,9 @@ class TestQuadratureOracle:
 
     def test_half_infinite_exponential_law(self, quad_oracle):
         ctx = exponential_ctx()
-        delta = covariate_moments(ctx, 0.0, 4)
+        delta = _covariate_moments(ctx, 0.0, 4)
         assert np.allclose(delta, [1.0, 1.0, 2.0, 6.0, 24.0], rtol=0.0, atol=1e-9)
-        remainder_moments(ctx, 1.0, 1, 3)
+        _remainder_moments(ctx, 1.0, 1, 3)
         assert len(quad_oracle) == 1 + 4 + 4
 
     def test_repeated_calls_are_bit_identical(self):
@@ -235,23 +250,23 @@ class TestDerivativeFallback:
 class TestCovariateMoments:
     def test_zeroth_moment_is_one(self):
         ctx = uniform_ctx(*square_mean())
-        assert covariate_moments(ctx, 0.7, 0)[0] == 1.0
+        assert _covariate_moments(ctx, 0.7, 0)[0] == 1.0
 
     def test_uniform_moments_at_origin(self):
         ctx = uniform_ctx(*square_mean())
-        delta = covariate_moments(ctx, 0.0, 2)
+        delta = _covariate_moments(ctx, 0.0, 2)
         assert abs(delta[1]) < 1e-12
         assert abs(delta[2] - 1.0 / 3.0) < 1e-10
 
     def test_first_moment_is_mean_minus_x(self):
         ctx = uniform_ctx(*square_mean())
-        assert abs(covariate_moments(ctx, 0.25, 1)[1] - (-0.25)) < 1e-10
+        assert abs(_covariate_moments(ctx, 0.25, 1)[1] - (-0.25)) < 1e-10
         gctx = gaussian_ctx(*cubic_mean())
-        assert abs(covariate_moments(gctx, 0.4, 1)[1] - (-0.4)) < 1e-8
+        assert abs(_covariate_moments(gctx, 0.4, 1)[1] - (-0.4)) < 1e-8
 
     def test_standard_normal_central_moments(self):
         ctx = gaussian_ctx(*cubic_mean())
-        delta = covariate_moments(ctx, 0.0, 4)
+        delta = _covariate_moments(ctx, 0.0, 4)
         assert abs(delta[2] - 1.0) < 1e-8
         assert abs(delta[3]) < 1e-8
         assert abs(delta[4] - 3.0) < 1e-7
@@ -261,12 +276,12 @@ class TestRemainderMoments:
     def test_linear_mean_has_no_remainder_at_linear_order(self):
         ctx = uniform_ctx(lambda s: 2.0 * s + 1.0,
                           lambda x, k: 2.0 if k == 1 else 0.0)
-        r = remainder_moments(ctx, 0.3, 1, 1)
+        r = _remainder_moments(ctx, 0.3, 1, 1)
         assert np.all(np.abs(r) < 1e-12)
 
     def test_square_mean_local_constant_values(self):
         ctx = uniform_ctx(*square_mean())
-        r = remainder_moments(ctx, 0.0, 0, 1)
+        r = _remainder_moments(ctx, 0.0, 0, 1)
         assert abs(r[0] - 1.0 / 3.0) < 1e-10
         assert abs(r[1]) < 1e-12
 
@@ -275,70 +290,59 @@ class TestRemainderMoments:
         # l=0 gives 2x^3 and l=1 gives 1/5 - x^2 - 2x^4
         x = 0.3
         ctx = uniform_ctx(*cubic_mean())
-        r = remainder_moments(ctx, x, 1, 1)
+        r = _remainder_moments(ctx, x, 1, 1)
         assert abs(r[0] - 2.0 * x**3) < 1e-10
         assert abs(r[1] - (0.2 - x**2 - 2.0 * x**4)) < 1e-10
 
 
-class TestPoolConstants:
+class TestPoolAverages:
+    # the means over pools of c^-1, c^-2, (c - 1)/c^2 and (c - 1)(c - 2)/c^2
     def test_unit_pools_kill_every_pooled_constant(self):
-        tc = pool_constants([1, 1, 1])
-        assert tc.t0 == (1.0, 1.0, 1.0)
-        assert all(v == 0.0 for v in tc.t.values())
+        assert _pool_averages([1, 1, 1]) == (1.0, 1.0, 0.0, 0.0)
 
     def test_pairs(self):
-        tc = pool_constants([2, 2])
-        assert tc[1] == 0.5
-        assert tc[2] == 0.25
-        assert tc[(1, 1)] == 0.5
-        assert tc[(2, 1)] == 0.25
-        assert tc[(2, 2)] == 0.0
+        assert _pool_averages([2, 2]) == (0.5, 0.25, 0.25, 0.0)
 
     def test_mixed_singletons_and_pairs(self):
-        tc = pool_constants([1, 2])
-        assert tc[1] == 0.75
-        assert tc[(1, 1)] == 0.25
+        assert _pool_averages([1, 2]) == (0.75, 0.625, 0.125, 0.0)
 
     @pytest.mark.parametrize("sizes", [[1], [2], [3, 3], [1, 2, 3, 5, 7], [4, 9]])
     def test_internal_identity_between_constants(self, sizes):
-        # 2 t_(2,1) + t_(2,2) equals t_(1,1) for any size mix
-        tc = pool_constants(sizes)
-        assert abs(2.0 * tc[(2, 1)] + tc[(2, 2)] - tc[(1, 1)]) < 1e-15
+        # 2 (c - 1)/c^2 + (c - 1)(c - 2)/c^2 = (c - 1)/c, averaged over any size mix
+        _, _, t21, t22 = _pool_averages(sizes)
+        c = np.asarray(sizes, dtype=float)
+        assert abs(2.0 * t21 + t22 - float(np.mean((c - 1) / c))) < 1e-15
 
-    def test_rejects_empty_and_undersized(self):
-        with pytest.raises(UserInputError):
-            pool_constants([])
-        with pytest.raises(UserInputError):
-            pool_constants([2, 0])
+    @pytest.mark.parametrize("sizes", [[], [2, 0]])
+    def test_rejects_empty_and_undersized(self, sizes):
+        ctx = uniform_ctx(*square_mean())
+        with pytest.raises(UserInputError, match="pool sizes"):
+            _pool_averages(sizes)
+        with pytest.raises(UserInputError, match="pool sizes"):
+            marginal_random_summary(ctx, 0.0, 1, 0.2, 100, sizes)
 
 
-class TestMomentMatrices:
+class TestKernelMoments:
     def test_epanechnikov_local_linear_blocks(self):
-        mm = moment_matrices(KernelKind.EPANECHNIKOV, 1)
-        assert np.allclose(mm.mu_tilde(0), [[1.0, 0.0], [0.0, 0.2]], atol=1e-12)
-        assert np.allclose(mm.mu_star(2), [0.2, 0.0], atol=1e-12)
-        assert np.allclose(mm.nu_tilde0(), [[0.6, 0.0], [0.0, 3.0 / 35.0]], atol=1e-12)
+        mu, nu = _kernel_moments(KernelKind.EPANECHNIKOV, 1)
+        assert np.allclose(_hankel(mu, 1), [[1.0, 0.0], [0.0, 0.2]], atol=1e-12)
+        assert np.allclose(mu[2:4], [0.2, 0.0], atol=1e-12)
+        assert np.allclose(_hankel(nu, 1), [[0.6, 0.0], [0.0, 3.0 / 35.0]], atol=1e-12)
 
     def test_quadratic_order_needs_sixth_moment(self):
-        mm = moment_matrices(KernelKind.EPANECHNIKOV, 2)
+        mu, _ = _kernel_moments(KernelKind.EPANECHNIKOV, 2)
         expected = np.array([
             [1.0, 0.0, 0.2],
             [0.0, 0.2, 0.0],
             [0.2, 0.0, 3.0 / 35.0],
         ])
-        assert np.allclose(mm.mu_tilde(0), expected, atol=1e-12)
-
-    def test_pooled_power_one_reuses_plain_moments(self):
-        plain = moment_matrices(KernelKind.EPANECHNIKOV, 1)
-        dagger = moment_matrices(KernelKind.EPANECHNIKOV, 1, power=1)
-        assert dagger.mu == plain.mu
-        assert dagger.nu == plain.nu
+        assert np.allclose(_hankel(mu, 2), expected, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [k for k in KernelKind if k.compact])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_design_moment_matrix_is_positive_definite(self, kind, p):
-        mm = moment_matrices(kind, p)
-        assert np.linalg.eigvalsh(mm.mu_tilde(0)).min() > 0.0
+        mu, _ = _kernel_moments(kind, p)
+        assert np.linalg.eigvalsh(_hankel(mu, p)).min() > 0.0
 
 
 class TestAverageWeightedRandom:
