@@ -56,7 +56,7 @@ gets the plain argmin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -64,7 +64,7 @@ import numpy as np
 
 from .data import IndividualDataset, PooledDataset
 from .errors import NoValidBandwidth, TooFewRecords, UserInputError
-from .estimators import Estimator, FitConfig, build_pseudo_data, _local_fits
+from .estimators import Estimator, FitConfig, build_pseudo_data, _batch_fits
 
 __all__ = [
     "CvTrace",
@@ -102,6 +102,34 @@ class CvTrace:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if isinstance(self.failures, _FailedPoints):
+            # select_bandwidth's failed points; the records are built on first read
+            object.__setattr__(self, "_failed", self.failures)
+            object.__delattr__(self, "failures")
+
+    def __getattr__(self, name):
+        failed = self.__dict__.get("_failed")
+        if name != "failures" or failed is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        records = tuple(FoldFailure(float(h), int(failed.pool_of[j]), float(failed.x[j]),
+                                    failed.reason)
+                        for h, bad in zip(self.h_grid, failed.bad) for j in bad)
+        object.__setattr__(self, "failures", records)
+        return records
+
+    def _failed_folds(self) -> list[int]:
+        """Of a trace from select_bandwidth, the failure records of each candidate."""
+        return [bad.size for bad in self._failed.bad]
+
+
+@dataclass(frozen=True)
+class _FailedPoints:
+    """Per candidate the needed points whose fold failed, and what a record says of them."""
+
+    bad: list
+    pool_of: np.ndarray
+    x: np.ndarray
+    reason: str
 
 
 def _quantiles(x: np.ndarray, levels) -> list:
@@ -194,17 +222,20 @@ def _map(fun: Callable, items, jobs: int) -> list:
         return list(pool.map(fun, items, chunksize=chunk))
 
 
-def _score(tag, data, base_cfg, pseudo, drop, order, needed, target, h):
-    """One candidate's criterion, or NaN, and the needed points whose fold failed."""
+def _score(tag, data, base_cfg, pseudo, drop, order, needed, target, hs):
+    """Per candidate h in hs its criterion, or NaN, and the needed points whose fold failed."""
     x = data.x if tag is Estimator.INDIVIDUAL else data.x_flat
-    beta, failed = _local_fits(tag, data, replace(base_cfg, h=float(h)), x, pseudo, drop, order)
-    bad = np.flatnonzero(failed & needed)
-    if bad.size:
-        return np.nan, bad
-    if target is None:
-        return _pool_rss(data, beta[:, 0], needed), bad
-    resid = np.where(needed, target - beta[:, 0], 0.0)
-    return float(np.sum(resid * resid)), bad
+    scores = []
+    for beta, failed in _batch_fits(tag, data, base_cfg, hs, x, pseudo, drop, order):
+        bad = np.flatnonzero(failed & needed)
+        if bad.size:
+            scores.append((np.nan, bad))
+        elif target is None:
+            scores.append((_pool_rss(data, beta[:, 0], needed), bad))
+        else:
+            resid = np.where(needed, target - beta[:, 0], 0.0)
+            scores.append((float(np.sum(resid * resid)), bad))
+    return scores
 
 
 def select_bandwidth(
@@ -236,9 +267,12 @@ def select_bandwidth(
     pseudo responses for the pseudo criterion. Candidates apart by more than
     that are ordered exactly.
 
-    jobs > 1 scores the candidates over that many worker processes (never
-    more than there are candidates), each returning its criterion value or
-    NaN and its failed points; the trace is the same for any jobs.
+    The candidates go to the fitting engine as one batch, which shares the
+    set-up that does not depend on h. jobs > 1 scores them over that many
+    worker processes (never more than there are candidates) instead, in
+    tasks of max(1, K // (4 workers)) consecutive candidates of the K, each
+    task one batch returning per candidate its criterion value or NaN and
+    its failed points; the trace is the same for any jobs.
     """
     if isinstance(data, IndividualDataset):
         if tag is not Estimator.INDIVIDUAL:
@@ -278,11 +312,14 @@ def select_bandwidth(
 
     # the points are the covariates: one sort serves both, for every h
     order = np.argsort(x, kind="stable")
-    scores = _map(partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target),
-                  h_grid, jobs)
+    workers = min(jobs, h_grid.size)
+    per = h_grid.size if workers <= 1 else max(1, h_grid.size // (4 * workers))
+    tasks = [h_grid[i:i + per] for i in range(0, h_grid.size, per)]
+    scores = [score for task in _map(
+        partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target), tasks, jobs)
+        for score in task]
     values = np.array([value for value, _ in scores])
-    failures = tuple(FoldFailure(float(h), int(pool_of[j]), float(x[j]), reason)
-                     for h, (_, bad) in zip(h_grid, scores) for j in bad)
+    failures = _FailedPoints([bad for _, bad in scores], pool_of, x, reason)
 
     finite = np.isfinite(values)
     if not finite.any():

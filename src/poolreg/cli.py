@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -298,10 +297,9 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 
 
 def _write_cv_trace(out_dir: Path, trace) -> None:
-    failed = Counter(f.h for f in trace.failures)
     rows = [
-        (h, crit, int(np.isfinite(crit)), failed[float(h)])
-        for h, crit in zip(trace.h_grid, trace.criterion)
+        (h, crit, int(np.isfinite(crit)), failed)
+        for h, crit, failed in zip(trace.h_grid, trace.criterion, trace._failed_folds())
     ]
     _write_csv(out_dir / "cv_trace.csv", ("h", "criterion", "valid", "failed_folds"), rows)
 

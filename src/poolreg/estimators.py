@@ -25,17 +25,23 @@ fold leaves rows out (one record, one pool, or a whole pool's member rows)
 before the sums are formed, so a fold fit is the same computation as a
 plain fit on the data without those rows.
 
-The sums only visit rows inside the kernel window. The engine sorts the
-points and the member covariates once per call and finds each point's
-window [L, R), the sorted members of nonzero weight, by binary search. Its
+The sums only visit rows inside the kernel window. The engine takes a
+batch of bandwidths: it sorts the points and the member covariates and
+builds the row tables once per call, then solves one local system per
+bandwidth and point, in blocks of whole bandwidths of at most 2048 systems
+(one bandwidth when it has more points), whose arrays stay small next to a
+flat pass's chunks. Each system carries its own h, so its arithmetic is
+that of a call with that h alone. A block finds each system's window
+[L, R), the sorted members of nonzero weight, by one binary search. Its
 rows are exact: the records in the window; the pools with a member in it,
 each once, for average weights; the pools with every member in it for
 product weights, taken from the pools sorted by last member (a contiguous
-range) by their first member. One flat pass over the (point, row) pairs, in
-chunks of 8192, builds the rows and forms each entry of [A | b] as a
-segment sum per point, so its summation order is fixed by the data alone.
-Time is of order the number of pairs, memory of order the chunk. The
-Gaussian kernel has no window: it pairs every point with every row.
+range) by their first member. One flat pass per block over the (system,
+row) pairs, in chunks of 8192, builds the rows and forms each entry of [A
+| b] as a segment sum per system, so its summation order is fixed by the
+data alone. Time is of order the number of pairs, memory of order the
+chunk. The Gaussian kernel has no window: it pairs every point with every
+row.
 
 Wide windows of the polynomial kernels (Epanechnikov, quartic, triweight)
 use running sums instead, for unit rows, average pool rows and product
@@ -48,18 +54,22 @@ c_j, or the product of (1 - (s + v)^2)^m over its members for a product
 row placed at its last member, times the pool means of (s + v)^ell, u and
 v being its own and its members' (X - anchor)/h. Compensated running sums
 of those coefficients, restarted at every segment, give a window as at
-most five segment pieces, each evaluated at its own s; a fold's rows are
-built by the row builders and subtracted. Each point carries a first-order
-bound on the rounding of its A and b and goes back to the flat pass when
-its count of nonzero-weight rows is below p + 1, when the bound leaves its
-rcond decision open, or when it leaves beta_0 undetermined to 1e-12 of
-|beta_0| + max |y|. A call takes the running sums when its flat pass would
-build more than 50 member rows per row and point plus 16,384 (a pool row
-of largest size c counting c). CV passes timed on both paths at every
-candidate h (CHANGES.md) put that line near where they cross: a running
-pass costs about 2.5-4 ms at n = 600 and 8-12 ms at n = 3000 whatever h,
-a flat pass about 35 ns per member row, and the running sums lose on
-narrow windows, where the bound leaves many points to refit.
+most five segment pieces, each evaluated at its own s by Horner's rule,
+one step for all polynomials of one degree; a fold's rows are built by the
+row builders and subtracted. The running bandwidths of a block share one
+buffer for their sums, which is freed before a flat pass. Each point
+carries a first-order bound on the rounding of its A and b and goes back
+to the flat pass when its count of nonzero-weight rows is below p + 1,
+when the bound leaves its rcond decision open, or when it leaves beta_0
+undetermined to 1e-12 of |beta_0| + max |y|. A bandwidth takes the running
+sums when its flat pass would build more than 28 member rows per row and
+point plus 43,000 (a pool row of largest size c counting c, and an average
+row of pools of c consecutive members counting once per pool, as its gate
+keeps it). CV passes timed on both paths at every candidate h (CHANGES.md)
+put that line near where they cross: a running pass costs about 2-3 ms at
+n = 600 and 5-7 ms at n = 3000 whatever h, a flat pass about 30 ns per
+member row, and the running sums lose on narrow windows, where the bound
+leaves many points to refit.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -79,6 +89,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,27 +226,32 @@ def build_pseudo_data(data: PooledDataset) -> PseudoData:
 _RCOND_MIN = 1e-12
 
 # when a call takes the running sums; see the module docstring
-_RUNNING_MIN, _RUNNING_BASE = 50, 16384
+_RUNNING_MIN, _RUNNING_BASE = 28, 43000
 
 # pairs per chunk of the flat pass: its arrays stay in cache and below
 # malloc's mmap threshold (see CHANGES.md)
 _PAIRS = 1 << 13
+
+# local systems per block of a batch of bandwidths; the block arrays stay
+# small next to a flat pass's chunks (see CHANGES.md)
+_SYSTEMS = 1 << 11
 
 # cap on the Jacobi sweeps of one solve; q <= 6 settles in far fewer
 _SWEEPS = 30
 
 
 def _unit_design(
-    x: np.ndarray, grid: np.ndarray, cfg: FitConfig
+    x: np.ndarray, grid: np.ndarray, h, cfg: FitConfig
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Unit rows t^1..t^p of t = (X - x)/h and weights K_h(X - x).
 
-    X (the covariates x) and the evaluation points grid broadcast.
+    X (the covariates x), the evaluation points grid and the bandwidths h
+    broadcast to the shape of x, whose memory t takes over.
     """
-    t = x - grid
-    t /= cfg.h
+    t = np.subtract(x, grid, out=x)
+    t /= h
     w = kernel_eval(cfg.kernel, t)
-    w /= cfg.h
+    w /= h
     powers = []
     for ell in range(cfg.p):
         powers.append(t if ell == 0 else powers[-1] * t)
@@ -243,21 +259,22 @@ def _unit_design(
 
 
 def _pool_design(
-    members: np.ndarray, sizes: np.ndarray, grid: np.ndarray, cfg: FitConfig, product: bool,
+    members: np.ndarray, sizes: np.ndarray, grid: np.ndarray, h, cfg: FitConfig, product: bool,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Pool rows: member averages of the unit rows over the first axis.
 
     members holds one slab of member covariates per slot of the member
-    table, NaN for padding, and every slab broadcasts against grid. The
-    pool weight is the average of the member kernel weights, or their
-    product for the product-weighted estimator. Padding adds 0 to every
-    average and 1 to the product; the slabs are reduced one by one.
+    table, NaN for padding, and grid and h broadcast to its shape; t takes
+    over its memory. The pool weight is the average of the member kernel
+    weights, or their product for the product-weighted estimator. Padding
+    adds 0 to every average and 1 to the product; the slabs are reduced one
+    by one.
     """
     pad = np.isnan(members)
-    t = members - grid
-    t /= cfg.h
+    t = np.subtract(members, grid, out=members)
+    t /= h
     k = kernel_eval(cfg.kernel, t)
-    k /= cfg.h
+    k /= h
     np.copyto(k, 1.0 if product else 0.0, where=pad)
     w = math.prod(k) if product else sum(k) / sizes
     del k
@@ -301,10 +318,10 @@ def _normal_sums(
 
 
 def _pair_sums(
-    grid: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
+    grid: np.ndarray, h: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
     gate: tuple | None, drop: np.ndarray | None, cfg: FitConfig, rows: tuple,
 ) -> np.ndarray:
-    """[A | b] at every point grid[i] over its rows lo[i]..hi[i] - 1, in one flat pass.
+    """[A | b] at every point grid[i] and bandwidth h[i] over its rows lo[i]..hi[i] - 1.
 
     rows = (covariates (m,) of unit rows or NaN-padded member covariates
     (c, m) of pool rows, pool sizes, responses, product). gate = (key,
@@ -332,19 +349,22 @@ def _pair_sums(
         keep = np.flatnonzero(kept)
         k, span = k[keep], np.searchsorted(keep, span)
         count = np.r_[span[1:], keep.size] - span
+        del kept, keep
         at, some = np.repeat(grid[a:b], count), np.flatnonzero(count)
+        # a chunk of one bandwidth divides by a number, with no per-pair array
+        scale = h[a] if (h[a:b] == h[a]).all() else np.repeat(h[a:b], count)
         if cov.ndim == 1:
-            powers, w = _unit_design(cov[k], at, cfg)
+            powers, w = _unit_design(cov[k], at, scale, cfg)
         else:
-            powers, w = _pool_design(np.take(cov, k, axis=1), sizes[k], at, cfg, product)
+            powers, w = _pool_design(np.take(cov, k, axis=1), sizes[k], at, scale, cfg, product)
         Ab[..., a + some] = _normal_sums(powers, w, resp[k], span[some])
     return Ab
 
 
 def _window_bounds(
-    xs: np.ndarray, points: np.ndarray, h: float
+    xs: np.ndarray, points: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per point the sorted rows [L, R) of nonzero weight, |fl(fl(X - x)/h)| < 1.
+    """Per point and bandwidth the sorted rows [L, R) of nonzero weight, |fl(fl(X - x)/h)| < 1.
 
     Rows within a few ulps of x -+ h get t computed as the row builders do.
     """
@@ -356,7 +376,7 @@ def _window_bounds(
         cnt = np.searchsorted(xs, edge + margin, "right") - first
         owner = np.repeat(np.arange(points.size), cnt)
         rows = first[owner] + np.arange(owner.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        t = (xs[rows] - points[owner]) / h
+        t = (xs[rows] - points[owner]) / h[owner]
         outside = t <= -1.0 if side < 0 else t < 1.0
         bounds.append(first + np.bincount(owner, outside, points.size).astype(first.dtype))
     return bounds[0], bounds[1]
@@ -371,19 +391,20 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _running_sums(
-    xs: np.ndarray, mates: np.ndarray, size: np.ndarray, resp: np.ndarray,
-    cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray, product: bool,
+    xs: np.ndarray, mates: np.ndarray, size: np.ndarray, resp: np.ndarray, h: float,
+    cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray, product: bool, work: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """[A | b] at every point from running sums, and a bound on its rounding error.
+    """[A | b] at every point from running sums at bandwidth h, and a bound on its rounding error.
 
     Row r has covariate xs[r] (ascending), its pool's member covariates
     mates[:, r] (NaN padded), pool size size[r] and response resp[r]; a unit
     row is a pool of one. Its weight is the kernel at xs[r] over size[r], or
     with product the product of its members' kernels (equal pools, no
-    padding). An empty window [L, R) gets zero sums.
+    padding). An empty window [L, R) gets zero sums. The large arrays live
+    in work["sums"], which calls on the same rows and points share.
     """
     const, m = _POLY_FAMILY[cfg.kernel]
-    h, q, n = cfg.h, cfg.p + 1, xs.size
+    q, n, size_p = cfg.p + 1, xs.size, points.size
     seg = np.floor((xs - xs[0]) / (0.5 * h))
     new = np.r_[True, seg[1:] != seg[:-1]]
     start = np.flatnonzero(new)
@@ -396,8 +417,19 @@ def _running_sums(
     # keeps its large terms out of the running sums
     c, reach = (mates.shape[0], v.min(axis=0) >= u - 3.0) if product else (1, None)
     pairs = [(i, j) for i in range(q) for j in range(i, q + 1)]
+    # the polynomials grouped by degree, each group held coefficient-major
+    # (row r * G + g holds s^r of its g-th polynomial), so that one Horner
+    # step serves a whole group; the absolute ones follow the signed ones
+    degree = [2 * m * c + i + (j < q) * j for i, j in pairs]
+    groups = [[k for k in range(len(pairs)) if degree[k] == d] for d in sorted(set(degree))]
+    rank = np.argsort([k for group in groups for k in group])
+    slot, F = [None] * len(pairs), 0
+    for group in groups:
+        for g, k in enumerate(group):
+            slot[k] = F + g + len(group) * np.arange(degree[k] + 1)
+        F += (degree[group[0]] + 1) * len(group)
 
-    def row_polys(u, v, resp, sign):
+    def row_polys(u, v, resp, sign, out):
         # each row's terms of [A | b] as polynomials in s, b taking D_q =
         # resp; sign = 1 with |u|, |v|, |resp| sums their absolute values.
         # The weight has a factor (1 - (s + v)^2)^m per member if product
@@ -409,25 +441,37 @@ def _running_sums(
         D = [np.stack([math.comb(ell, g) * nu[ell - g] for g in range(ell + 1)])
              for ell in range(q)] + [resp[None]]
         kD = [_poly_mul(k, d) for d in D[:q]]
-        return np.concatenate([_poly_mul(kD[i], D[j]) for i, j in pairs])
+        for k, (i, j) in enumerate(pairs):
+            out[slot[k]] = _poly_mul(kD[i], D[j])
+        return out
 
+    # one buffer: the running sums, then their error terms and scratch, whose
+    # space the segment pieces take over
+    cells = 2 * F * (n + 1) + 3 * F * max(n + 1, size_p)
+    if work.get("sums") is None or work["sums"].size != cells:
+        work["sums"] = np.empty(cells)
+    run, rest = np.split(work["sums"], [2 * F * (n + 1)])
+    run, err = run.reshape(2 * F, n + 1), rest[:F * (n + 1)].reshape(F, n + 1)
+    spare = rest[F * (n + 1):3 * F * (n + 1)].reshape(2 * F, n + 1)
+    cols = spare[F:, :n]
     # compensated running sums, restarted at every segment; column n is zero
-    cols = row_polys(u, v, resp, -1.0)
-    run = np.zeros((2 * len(cols), n + 1))
-    np.cumsum(cols, axis=1, out=run[:len(cols), :n])
-    np.cumsum(row_polys(np.abs(u), np.abs(v), np.abs(resp), 1.0), axis=1,
-              out=run[len(cols):, :n])
-    signed, err = run[:len(cols)], np.zeros((len(cols), n + 1))
-    step = signed[:, 1:n] - signed[:, :n - 1]
-    err[:, 1:n] = (signed[:, :n - 1] - (signed[:, 1:n] - step)) + (cols[:, 1:] - step)
+    np.cumsum(row_polys(u, v, resp, -1.0, cols), axis=1, out=run[:F, :n])
+    np.cumsum(row_polys(np.abs(u), np.abs(v), np.abs(resp), 1.0, spare[:F, :n]), axis=1,
+              out=run[F:, :n])
+    run[:, n] = err[:, 0] = err[:, n] = 0.0
+    signed, fix = run[:F], err[:, 1:n]
+    step = np.subtract(signed[:, 1:n], signed[:, :n - 1], out=spare[:F, 1:n])
+    np.subtract(signed[:, :n - 1], np.subtract(signed[:, 1:n], step, out=fix), out=fix)
+    fix += np.subtract(cols[:, 1:], step, out=step)
     np.cumsum(err[:, :n], axis=1, out=err[:, :n])
     before = np.r_[start[gid] - 1, n]
     before[before < 0] = n
-    run -= run[:, before]
-    signed += err - err[:, before]
-    del cols, err, step, signed
-    first = np.cumsum([0] + [2 * m * c + i + j + 1 - (j == q) * j for i, j in pairs] * 2)
-    sums = np.zeros((2 * len(pairs), points.size))
+    run -= np.take(run, before, axis=1, out=spare[:, :n + 1], mode="clip")
+    lag = np.take(err, before, axis=1, out=spare[:F, :n + 1], mode="clip")
+    signed += np.subtract(err, lag, out=lag)
+    sums = np.zeros((2 * len(pairs), size_p))
+    piece = rest[:2 * F * size_p].reshape(2 * F, size_p)
+    low = rest[2 * F * size_p:3 * F * size_p].reshape(F, size_p)
     g_lo, g_hi = gid[np.minimum(L, n - 1)], np.where(R > L, gid[R - 1], -1)
     for j in range(int((g_hi - g_lo).max(initial=0)) + 1):
         # the window's piece in its j-th segment; the absolute terms up to
@@ -436,22 +480,27 @@ def _running_sums(
         used = g_lo + j <= g_hi
         lo = np.where(used & (L > start[g]), L - 1, n)
         hi = np.where(used, np.minimum(R, end[g]) - 1, n)
-        piece = run[:, hi]
-        piece[:first[len(pairs)]] -= run[:first[len(pairs)], lo]
+        np.take(run, hi, axis=1, out=piece, mode="clip")
+        piece[:F] -= np.take(run[:F], lo, axis=1, out=low, mode="clip")
         s = (anchor[g] - points) / h
-        for k, (a, b) in enumerate(zip(first[:-1], first[1:])):  # Horner's rule
-            value = piece[b - 1]
-            for row in piece[b - 2:a - 1 if a else None:-1]:
-                value *= s if k < len(pairs) else np.abs(s)
-                value += row
-            sums[k] += value
+        row = first = 0
+        for at in (s, np.abs(s)):
+            for group in groups:  # Horner's rule
+                d, G = degree[group[0]], len(group)
+                coef = piece[row:row + (d + 1) * G].reshape(d + 1, G, size_p)
+                value = coef[d]
+                for r in range(d - 1, -1, -1):
+                    value *= at
+                    value += coef[r]
+                sums[first:first + G] += value
+                row, first = row + (d + 1) * G, first + G
     # first-order rounding per absolute term: u, v and s, the row
     # polynomials and pool means, the running sums, the pieces and Horner
     kappa = (16 * (m * c + q) + 2 * v.shape[0] + 8) * np.finfo(float).eps
     scale = float(const / h) ** c
-    out = np.empty((2, q, q + 1, points.size))
+    out = np.empty((2, q, q + 1, size_p))
     for k, (i, j) in enumerate(pairs):
-        out[:, i, j] = sums[[k, len(pairs) + k]] * [[scale], [kappa * scale]]
+        out[:, i, j] = sums[[rank[k], len(pairs) + rank[k]]] * [[scale], [kappa * scale]]
         if j < q:
             out[:, j, i] = out[:, i, j]
     return out[0], out[1]
@@ -504,12 +553,13 @@ def _jacobi(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(
-    Ab: np.ndarray, cfg: FitConfig, bounds: tuple | None = None
+    Ab: np.ndarray, scale: np.ndarray, bounds: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve each h-scaled [A | b]: coefficients on the original scale, failures, open points.
 
-    Ab holds one plane per entry, (q, q + 1, points); beta comes back as
-    (points, q). _jacobi gives the singular values |lam|, beta and the first
+    Ab holds one plane per entry, (q, q + 1, points), and scale the h^ell
+    that bring beta_ell back to the original scale, (q, points) or (q, 1);
+    beta comes back as (points, q). _jacobi gives the singular values |lam|, beta and the first
     row of A^-1. A system fails when it is not finite or when rcond, the
     ratio of its smallest to its largest singular value, is below
     _RCOND_MIN; failed rows hold NaN. bounds = (E, ymax) bounds the errors
@@ -538,29 +588,35 @@ def _solve(
             near = e / s_min
             tol = 1e-12 * (1.0 - near) * (np.abs(beta[0]) + ymax)
             left_open[passes] = ((near > 0.5) | ~(drift <= tol))[passes]
-    beta /= (cfg.h ** np.arange(q))[:, None]
+    beta /= scale
     return beta.T, ~passes, left_open
 
 
-def _local_fits(
+def _local_fits(estimator, data, cfg, points, pseudo=None, drop=None, order=None):
+    """_batch_fits at the one bandwidth cfg.h: coefficients per point, and which failed."""
+    return next(_batch_fits(estimator, data, cfg, [cfg.h], points, pseudo, drop, order))
+
+
+def _batch_fits(
     estimator: Estimator,
     data: IndividualDataset | PooledDataset,
     cfg: FitConfig,
+    hs,
     points: np.ndarray,
     pseudo: PseudoData | None = None,
     drop: np.ndarray | None = None,
     order: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of an estimator at every evaluation point, and which points failed.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per bandwidth in hs, in turn: coefficients at every evaluation point, and which failed.
 
-    drop, when given, holds per evaluation point the indices of the rows left
-    out of that point's fit, padded with -1: records for the individual and
-    marginal estimators, pools for the other two. Those rows stay out of
-    that point's normal sums. One row per point gives leave-one-out and
+    cfg gives the order and the kernel; its h is not read. drop, when given,
+    holds per evaluation point the indices of the rows left out of that
+    point's fit, padded with -1: records for the individual and marginal
+    estimators, pools for the other two. Those rows stay out of that point's
+    normal sums. One row per point gives leave-one-out and
     leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
-    order, when given, is the stable argsort of the covariates, for callers
-    that fit many bandwidths; it sorts the points too when they are the
-    covariates.
+    order, when given, is the stable argsort of the covariates; it sorts the
+    points too when they are the covariates.
     """
     if estimator is Estimator.INDIVIDUAL:
         if not isinstance(data, IndividualDataset):
@@ -582,12 +638,9 @@ def _local_fits(
         order = np.argsort(x, kind="stable")
     point_order = order if points is x else np.argsort(points, kind="stable")
     x_sorted, grid = x[order], points[point_order]
-    n, q, eps = x.size, cfg.p + 1, np.finfo(float).eps
+    n, q, eps, size = x.size, cfg.p + 1, np.finfo(float).eps, points.size
     finite = np.isfinite(grid)
     grid = np.where(finite, grid, 0.0)
-    L, R = (_window_bounds(x_sorted, grid, cfg.h) if cfg.kernel.compact
-            else (np.zeros(grid.size, dtype=np.intp), np.full(grid.size, n)))
-    L[~finite] = R[~finite] = 0
 
     # the rows in the engine's order (unit rows: the sorted records), each
     # point's rows lo..hi - 1 kept where gate says so, and the places in
@@ -595,17 +648,18 @@ def _local_fits(
     product = estimator is Estimator.PRODUCT
     place = np.empty(n, dtype=np.intp)
     place[order] = np.arange(n)
-    lo, hi, gate, cmax = L, R, None, 1
+    gate, cmax, cost, chunked = None, 1, None, False
     if estimator in (Estimator.AVERAGE, Estimator.PRODUCT):
         table = data.member_table
         cmax = table.shape[1]
         # each pool's sorted member positions, ascending, -1 padded first
         ranks = np.sort(np.where(table >= 0, place[table], -1), axis=1)
+        first, last = ranks[np.arange(table.shape[0]), cmax - data.sizes], ranks[:, -1]
+        # every pool of cmax consecutive sorted members (homogeneous pooling)
+        chunked = bool((data.sizes == cmax).all() and (last - first + 1 == cmax).all())
         if product:
             # the pools by last member; a window's have last and first in [L, R)
-            first, last = ranks[np.arange(table.shape[0]), cmax - data.sizes], ranks[:, -1]
             space = np.argsort(last, kind="stable")
-            lo, hi = np.searchsorted(last[space], L), np.searchsorted(last[space], R)
             gate, place = (first[space], True), np.argsort(space)[:, None]
         else:
             # the pool of every sorted member: each pool with a member in
@@ -614,50 +668,95 @@ def _local_fits(
             later = ranks[:, 1:] >= 0
             before[ranks[:, 1:][later]] = ranks[:, :-1][later]
             gate = (before, False)
+            if chunked:
+                # the gate keeps one member of each pool in a window: those
+                # first in their pools, and the one at L; cost counts the first
+                cost = np.r_[0, np.cumsum(before < 0)]
         members = table[space].T
         rows = (np.where(members >= 0, x[members], np.nan), data.sizes[space].astype(float),
                 resp[space], product)
     else:
         rows, place = (x_sorted, np.ones(n), resp[order], False), place[:, None]
-
-    beta, failed = np.empty((points.size, q)), np.empty(points.size, dtype=bool)
-    todo = np.arange(grid.size)
+    # product rows sit at their pools' last members
+    last_sorted = last[space] if product else None
+    xs, mates = x_sorted[last_sorted] if product else x_sorted, np.atleast_2d(rows[0])
     # product rows need pools of cmax consecutive sorted members (a window's
     # pools are then a contiguous range, every row of one scale) and a weight
     # of degree 2 m cmax <= 8, beyond which the bound leaves most points open
-    running = cfg.kernel in _POLY_FAMILY and (not product or (
-        _POLY_FAMILY[cfg.kernel][1] * cmax <= 4 and (last - first + 1 == cmax).all()))
-    if running and (hi - lo).sum() * cmax > _RUNNING_MIN * (n + points.size) + _RUNNING_BASE:
-        # product rows sit at their pools' last members
-        xs, start = (x_sorted[last[space]], np.minimum(np.searchsorted(first[space], L), hi)) \
-            if product else (x_sorted, L)
-        Ab, E = _running_sums(xs, np.atleast_2d(rows[0]), *rows[1:3], cfg, grid, start, hi,
-                              product)
-        # rows of nonzero weight; an average window of fewer than c (q + d)
-        # members may hold fewer than q + d pools and is refit
-        count = hi - start
-        if estimator is Estimator.AVERAGE:
-            count[R - L < cmax * (q + (0 if drop is None else drop.shape[1]))] = 0
-        if drop is not None:
-            # the fold's rows, one pair each, subtracted
-            left_out = np.where(drop >= 0, place[drop, -1], -1)[point_order].ravel()
-            fold = _pair_sums(np.repeat(grid, drop.shape[1]), left_out, left_out + (left_out >= 0),
-                              None, None, None, cfg, rows).reshape(q, q + 1, grid.size, -1)
-            count -= (fold[0, 0] > 0).sum(axis=-1)
-            fold = fold.sum(axis=-1)
-            Ab -= fold
-            E += 2.0 * eps * np.abs(fold)
-        beta[point_order], failed[point_order], redo = _solve(Ab, cfg, (E, np.abs(resp).max()))
-        del Ab, E
-        todo = np.flatnonzero(redo | (count < q))
-
-    done = point_order[todo]
+    running = cfg.kernel in _POLY_FAMILY and (
+        not product or (_POLY_FAMILY[cfg.kernel][1] * cmax <= 4 and chunked))
     if drop is not None:
-        drop = np.where(drop[done, :, None] >= 0, place[drop[done]], -1).reshape(
-            todo.size, drop.shape[1] * place.shape[1])
-    Ab = _pair_sums(grid[todo], lo[todo], hi[todo], L[todo], gate, drop, cfg, rows)
-    beta[done], failed[done] = _solve(Ab, cfg)[:2]
-    return beta, failed
+        # per sorted point the places of its fold's rows, and for the running
+        # sums one place per dropped row
+        flat_drop = np.where(drop[point_order, :, None] >= 0, place[drop[point_order]], -1
+                             ).reshape(size, drop.shape[1] * place.shape[1])
+        left_out = np.where(drop >= 0, place[drop, -1], -1)[point_order].ravel()
+
+    hs = np.asarray(hs, dtype=float)
+    # h ** ell one h at a time, as a one-h call rounds it (an array power may not)
+    scale = np.array([h ** np.arange(q) for h in hs]).T
+    ymax = np.abs(resp).max()
+    per = max(1, _SYSTEMS // max(size, 1))
+    work = {}
+    for c0 in range(0, hs.size, per):
+        # a block of bandwidths: system k * size + i is sorted point i at
+        # the block's k-th bandwidth
+        block = hs[c0:c0 + per]
+        L, R = (_window_bounds(x_sorted, np.tile(grid, block.size), np.repeat(block, size))
+                if cfg.kernel.compact else (np.zeros(block.size * size, dtype=np.intp),
+                                            np.full(block.size * size, n)))
+        empty = ~np.tile(finite, block.size)
+        L[empty] = R[empty] = 0
+        lo, hi = (np.searchsorted(last_sorted, L), np.searchsorted(last_sorted, R)) \
+            if product else (L, R)
+        beta, failed = np.empty((L.size, q)), np.empty(L.size, dtype=bool)
+
+        def flat_pass(todo):
+            # the running sums' space goes first: a flat pass needs as much
+            work.clear()
+            point, k = todo % size, todo // size
+            Ab = _pair_sums(grid[point], block[k], lo[todo], hi[todo], L[todo], gate,
+                            None if drop is None else flat_drop[point], cfg, rows)
+            beta[todo], failed[todo] = _solve(Ab, scale[:, c0 + k])[:2]
+
+        # flat pairs per bandwidth, a pool row of largest size c counting c
+        pairs = (hi - lo if cost is None else cost[R] - cost[L] + (
+            (R > L) & (before[np.minimum(L, n - 1)] >= 0))).reshape(block.size, size).sum(axis=1)
+        sums = running & (pairs * cmax > _RUNNING_MIN * (n + size) + _RUNNING_BASE)
+        if not sums.all():
+            # the block's flat bandwidths
+            flat_pass(np.flatnonzero(~np.repeat(sums, size)))
+        todo = []
+        for k in np.flatnonzero(sums):
+            h, at = block[k], slice(k * size, (k + 1) * size)
+            Lk, Rk, hik = L[at], R[at], hi[at]
+            start = np.minimum(np.searchsorted(gate[0], Lk), hik) if product else Lk
+            Ab, E = _running_sums(xs, mates, *rows[1:3], h, cfg, grid, start, hik, product, work)
+            # rows of nonzero weight; an average window of fewer than c (q + d)
+            # members may hold fewer than q + d pools and is refit
+            count = hik - start
+            if estimator is Estimator.AVERAGE:
+                count[Rk - Lk < cmax * (q + (0 if drop is None else drop.shape[1]))] = 0
+            if drop is not None:
+                # the fold's rows, one pair each, subtracted
+                fold = _pair_sums(np.repeat(grid, drop.shape[1]), np.full(left_out.size, h),
+                                  left_out, left_out + (left_out >= 0), None, None, None, cfg,
+                                  rows).reshape(q, q + 1, size, -1)
+                count -= (fold[0, 0] > 0).sum(axis=-1)
+                fold = fold.sum(axis=-1)
+                Ab -= fold
+                E += 2.0 * eps * np.abs(fold)
+            beta[at], failed[at], redo = _solve(Ab, scale[:, c0 + k, None], (E, ymax))
+            del Ab, E
+            todo.append(at.start + np.flatnonzero(redo | (count < q)))
+        if todo:
+            # the points the running sums left open, in one flat pass
+            flat_pass(np.concatenate(todo))
+        for beta_k, failed_k in zip(beta.reshape(block.size, size, q),
+                                    failed.reshape(block.size, size)):
+            b, f = np.empty_like(beta_k), np.empty_like(failed_k)
+            b[point_order], f[point_order] = beta_k, failed_k
+            yield b, f
 
 
 def _fit_point(

@@ -288,7 +288,8 @@ def _remainder_moments(ctx: TheoryContext, x: float, p: int, ell_max: int) -> np
 
 def _pool_sizes(pool_sizes) -> np.ndarray:
     sizes = np.asarray(pool_sizes, dtype=float)
-    if sizes.size == 0 or np.any(sizes < 1):
+    whole = np.isfinite(sizes) & (sizes == np.floor(sizes))
+    if sizes.size == 0 or not np.all(whole & (sizes >= 1)):
         raise UserInputError("pool sizes must be a nonempty sequence of integers >= 1")
     return sizes
 
@@ -452,8 +453,7 @@ def product_random_bias(
     Stated for pools of one common size c. The variance constant is out of
     scope; its order degrades geometrically in c through h^c.
     """
-    if c < 1:
-        raise UserInputError(f"pool size must be at least 1, got {c}")
+    _pool_sizes([c])
     bias = _local_bias(ctx, x, p, h, _kernel_moments(kernel, p)[0], c)
     return AsymptoticSummary(
         estimator=Estimator.PRODUCT, design=Design.RANDOM, x=x, p=p, h=h,
@@ -576,8 +576,7 @@ def homogeneous_summary(
             f"the {kernel.value} kernel has unbounded support and is not "
             "covered by the homogeneous-pooling theory"
         )
-    if c < 1:
-        raise UserInputError(f"pool size must be at least 1, got {c}")
+    _pool_sizes([c])
     return _unit_style_summary(
         ctx, tag, Design.HOMOGENEOUS, x, p, h, n_units, kernel,
         power=1 if tag is Estimator.AVERAGE else c,

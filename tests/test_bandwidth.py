@@ -10,7 +10,7 @@ import pytest
 from poolreg.bandwidth import (
     CvTrace, _quantiles, default_h_grid, select_bandwidth, trim_bounds_for,
 )
-from poolreg import estimators
+from poolreg import bandwidth, estimators
 from poolreg.data import (
     Design,
     IndividualDataset,
@@ -385,6 +385,48 @@ class TestJobsInvariance:
                         criterion=criterion)
 
 
+class TestBatchedScoring:
+    """A batch of candidates in one engine call scores them exactly as one at a time."""
+
+    @staticmethod
+    def one_at_a_time(tag, data, cfg, hs, *args):
+        for h in hs:
+            yield estimators._local_fits(tag, data, replace(cfg, h=float(h)), *args)
+
+    @pytest.mark.parametrize("design", ["random", "homogeneous"])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("kernel, running", [
+        (KernelKind.EPANECHNIKOV, False), (KernelKind.EPANECHNIKOV, True),
+        (KernelKind.TRICUBE, False), (KernelKind.GAUSSIAN, False),
+    ])
+    def test_same_bits_as_one_candidate_per_call(self, monkeypatch, design, p, kernel, running):
+        rng = np.random.default_rng(p)
+        people = sample_dgp(get_dgp("d2"), 240, rng)
+        pooled = pool_random(people, 2, rng) if design == "random" else pool_homogeneous(people, 2)
+        cfg = FitConfig(p=p, h=1.0, kernel=kernel)
+        grid = default_h_grid(people.x, n=12)
+        # blocks of two candidates, so the narrow ones span several blocks
+        monkeypatch.setattr(estimators, "_SYSTEMS", 2 * people.x.size + 1)
+        if running:
+            # every candidate on the running sums, sharing one workspace
+            monkeypatch.setattr(estimators, "_RUNNING_MIN", 0)
+            monkeypatch.setattr(estimators, "_RUNNING_BASE", -1)
+        for tag, criterion in [
+            (Estimator.INDIVIDUAL, "pool"), (Estimator.AVERAGE, "pool"),
+            (Estimator.PRODUCT, "pool"), (Estimator.MARGINAL, "pseudo"),
+            (Estimator.MARGINAL, "pool"),
+        ]:
+            data = people if tag is Estimator.INDIVIDUAL else pooled
+            with monkeypatch.context() as patched:
+                patched.setattr(bandwidth, "_batch_fits", self.one_at_a_time)
+                want = select_bandwidth(data, tag, cfg, grid=grid, criterion=criterion)
+            for jobs in (1, 2) if p == 1 else (1,):
+                got = select_bandwidth(data, tag, cfg, grid=grid, criterion=criterion, jobs=jobs)
+                assert got.criterion.tobytes() == want.criterion.tobytes(), (tag, jobs)
+                assert got.failures == want.failures, (tag, jobs)
+                assert got.chosen_h == want.chosen_h, (tag, jobs)
+
+
 def test_criterion_independent_of_blas_threads():
     # OpenBLAS splits a dot product over its threads from about n = 20,000 on,
     # which moved the last bit of these criteria; numpy reductions do not split
@@ -461,13 +503,14 @@ class TestExactFolds:
         np.testing.assert_allclose(trace.criterion, want, rtol=1e-9)
 
 
-def eigvalsh_solve(Ab, cfg, bounds=None):
+def eigvalsh_solve(Ab, scale, bounds=None):
     """The LAPACK solve that the Jacobi rotations replaced, kept as an oracle.
 
     rcond from eigvalsh, beta and the first row of A^-1 from batched
     np.linalg.solve, with the open-point rule of estimators._solve and its
-    contract: [A | b] and its bound as (q, q + 1, points) planes in,
-    coefficients (points, q) on the original scale, failures and open points out.
+    contract: [A | b] and its bound as (q, q + 1, points) planes and the
+    h^ell scale in, coefficients (points, q) on the original scale, failures
+    and open points out.
     """
     Ab = np.moveaxis(Ab, -1, 0)
     E, ymax = (np.moveaxis(bounds[0], -1, 0), bounds[1]) if bounds else (np.zeros_like(Ab), 0.0)
@@ -490,7 +533,7 @@ def eigvalsh_solve(Ab, cfg, bounds=None):
         near = e[ok] / s[ok, 0]
         tol = 1e-12 * (1.0 - near) * (np.abs(beta[ok, 0]) + ymax)
         left_open[ok] = (near > 0.5) | ~(drift <= tol)
-    beta /= cfg.h ** np.arange(A.shape[1])
+    beta /= scale.T
     return beta, ~passes, left_open
 
 
@@ -520,8 +563,8 @@ class TestRunningSumParity:
         cfg = FitConfig(p=1, h=1.0)
         settled, solve = [], estimators._solve
 
-        def spy(Ab, cfg, bounds=None):
-            out = solve(Ab, cfg, bounds)
+        def spy(Ab, scale, bounds=None):
+            out = solve(Ab, scale, bounds)
             if bounds is not None:
                 settled.append((~out[2]).sum())
             return out
@@ -558,6 +601,25 @@ class TestRunningSumParity:
 
 
 class TestMemory:
+    def test_cv_batch_memory_stays_bounded(self):
+        # one CV call on the benchmark's homogeneous study held at most
+        # 1.2 MB with one engine call per candidate and 1.35 MB in blocks of
+        # 2048 local systems; all 30 candidates in one block held 4.3-4.6 MB
+        rng = np.random.default_rng(7)
+        people = sample_dgp(get_dgp("d2"), 600, rng)
+        pooled = pool_homogeneous(people, 2)
+        cfg = FitConfig(p=1, h=1.0)
+        for tag in (Estimator.INDIVIDUAL, Estimator.AVERAGE, Estimator.PRODUCT):
+            data = people if tag is Estimator.INDIVIDUAL else pooled
+            select_bandwidth(data, tag, cfg)
+            tracemalloc.start()
+            try:
+                select_bandwidth(data, tag, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.6e6, f"{tag.value}: peak {peak / 1e6:.2f} MB"
+
     def test_cv_memory_follows_the_kernel_window(self):
         # one dense 20,000 x 20,000 points-by-members array alone is 3.2 GB
         rng = np.random.default_rng(41)

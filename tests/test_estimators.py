@@ -232,7 +232,7 @@ class TestPooledFits:
         cfg = FitConfig(p=0, h=1.0)
         table = pooled.member_table.T[:, None, :]  # slots x one point x pools
         members = np.where(table >= 0, pooled.x_flat[table], np.nan)
-        _, w_prod = _pool_design(members, pooled.sizes, np.array([[0.0]]), cfg, product=True)
+        _, w_prod = _pool_design(members, pooled.sizes, np.array([[0.0]]), cfg.h, cfg, product=True)
         assert w_prod[0, 0] == 0.0
         assert w_prod[0, 1] > 0.0
 
@@ -339,8 +339,7 @@ class TestPlanarSolve:
     @pytest.mark.parametrize("q", range(1, 7))
     def test_against_eigvalsh_and_lstsq(self, q):
         Ab = random_systems(q, np.random.default_rng(q))
-        cfg = FitConfig(p=q - 1, h=1.0)
-        beta, failed, _ = estimators._solve(Ab, cfg)
+        beta, failed, _ = estimators._solve(Ab, np.ones((q, 1)))
         rcond, want = oracle_solve(Ab)
         passes = rcond >= estimators._RCOND_MIN
         assert np.isnan(rcond).sum() == 3 and failed[np.isnan(rcond)].all()
@@ -389,9 +388,9 @@ class TestPlanarSolve:
             np.linalg.solve(np.eye(2), np.ones(2))
         solve, bounded = estimators._solve, []
 
-        def spy(Ab, cfg, bounds=None):
+        def spy(Ab, scale, bounds=None):
             bounded.append(bounds is not None)
-            return solve(Ab, cfg, bounds)
+            return solve(Ab, scale, bounds)
 
         monkeypatch.setattr(estimators, "_solve", spy)
         for tag in Estimator:
@@ -815,8 +814,8 @@ class RunningSums:
         self.settled, self.last = 0, None
         solve = estimators._solve
 
-        def spy(Ab, cfg, bounds=None):
-            beta, failed, left_open = solve(Ab, cfg, bounds)
+        def spy(Ab, scale, bounds=None):
+            beta, failed, left_open = solve(Ab, scale, bounds)
             if bounds is not None:
                 self.settled += int((~left_open).sum())
                 self.last = ~left_open
@@ -906,6 +905,21 @@ class TestRunningSums:
             np.testing.assert_array_less(np.abs(beta[:, 0] - beta0[:, 0]), 1e-12 * scale)
             if p < 2:
                 assert running.settled - before > 0.7 * points.size, tag
+
+    def test_unequal_product_pools_stay_on_the_flat_pass(self, monkeypatch):
+        # sorted positions {0, 2}, {1, 3} and {4, 5, 6}: every pool spans
+        # three places, but two hold a padded slot that a product row of
+        # the running sums would weigh as a member at the anchor
+        x = np.array([0.0, 0.2, 0.1, 0.3, 0.4, 0.5, 0.6])
+        pooled = PooledDataset(z=[1.0, 2.0, 1.5], sizes=[2, 2, 3], x_flat=x,
+                               design=Design.EXTERNAL)
+        cfg = FitConfig(p=0, h=2.0)
+        grid = np.linspace(0.0, 0.6, 7)
+        want = _local_fits(Estimator.PRODUCT, pooled, cfg, grid)
+        running = RunningSums(monkeypatch)
+        got = _local_fits(Estimator.PRODUCT, pooled, cfg, grid)
+        assert running.last is None
+        np.testing.assert_array_equal(got[0], want[0])
 
     def test_rcond_at_the_threshold_goes_back_to_the_flat_pass(self, monkeypatch):
         # rows at -+1e-6 with h = 1: rcond is (1e-6)^2, the threshold itself

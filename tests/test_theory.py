@@ -443,8 +443,16 @@ class TestProductWeightedRandom:
 
     def test_rejects_fractional_or_zero_size(self):
         ctx = uniform_ctx(*square_mean())
-        with pytest.raises(UserInputError):
-            product_random_bias(ctx, 0.2, 1, 0.1, 0)
+        for c in (0, 1.5, np.nan, np.inf):
+            with pytest.raises(UserInputError):
+                product_random_bias(ctx, 0.2, 1, 0.1, c)
+            with pytest.raises(UserInputError):
+                homogeneous_summary(ctx, Estimator.PRODUCT, 0.2, 1, 0.1, 100, c)
+        for sizes in ([1.5, 2], [2, 0], [], [2, np.nan]):
+            with pytest.raises(UserInputError):
+                average_random_summary(ctx, 0.2, 1, 0.1, sizes)
+            with pytest.raises(UserInputError):
+                marginal_random_summary(ctx, 0.2, 1, 0.1, 100, sizes)
 
 
 class TestMarginalAndIndividual:
