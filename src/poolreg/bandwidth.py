@@ -56,8 +56,9 @@ gets the plain argmin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -85,6 +86,10 @@ class FoldFailure:
     reason: str
 
 
+# per candidate the needed points whose fold failed, and what a record says of them
+_FailedPoints = namedtuple("_FailedPoints", "bad pool_of x reason")
+
+
 @dataclass(frozen=True)
 class CvTrace:
     """Criterion values over a bandwidth grid and the winning bandwidth."""
@@ -95,41 +100,20 @@ class CvTrace:
     criterion: np.ndarray
     chosen_h: float
     trim_bounds: tuple[float, float] | None
-    failures: tuple[FoldFailure, ...]
+    _failed: _FailedPoints = field(repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("h_grid", "criterion"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if isinstance(self.failures, _FailedPoints):
-            # select_bandwidth's failed points; the records are built on first read
-            object.__setattr__(self, "_failed", self.failures)
-            object.__delattr__(self, "failures")
 
-    def __getattr__(self, name):
-        failed = self.__dict__.get("_failed")
-        if name != "failures" or failed is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        records = tuple(FoldFailure(float(h), int(failed.pool_of[j]), float(failed.x[j]),
-                                    failed.reason)
-                        for h, bad in zip(self.h_grid, failed.bad) for j in bad)
-        object.__setattr__(self, "failures", records)
-        return records
-
-    def _failed_folds(self) -> list[int]:
-        """Of a trace from select_bandwidth, the failure records of each candidate."""
-        return [bad.size for bad in self._failed.bad]
-
-
-@dataclass(frozen=True)
-class _FailedPoints:
-    """Per candidate the needed points whose fold failed, and what a record says of them."""
-
-    bad: list
-    pool_of: np.ndarray
-    x: np.ndarray
-    reason: str
+    @cached_property
+    def failures(self) -> tuple[FoldFailure, ...]:
+        """One record per failed fold, candidate by candidate, built on first read."""
+        bad, pool_of, x, reason = self._failed
+        return tuple(FoldFailure(float(h), int(pool_of[j]), float(x[j]), reason)
+                     for h, points in zip(self.h_grid, bad) for j in points)
 
 
 def _quantiles(x: np.ndarray, levels) -> list:
@@ -290,8 +274,8 @@ def select_bandwidth(
     h_grid = default_h_grid(x) if grid is None else np.sort(np.asarray(grid, dtype=float))
     if h_grid.size == 0:
         raise UserInputError("the bandwidth grid is empty")
-    if not np.all(h_grid > 0.0):
-        raise UserInputError("bandwidth candidates must all be positive")
+    for h in h_grid:
+        replace(base_cfg, h=float(h))  # a candidate is checked as a fit's h is
 
     bounds = trim_bounds_for(x) if trim else None
     needed = _in_bounds(x, bounds)
@@ -319,7 +303,7 @@ def select_bandwidth(
         partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target), tasks, jobs)
         for score in task]
     values = np.array([value for value, _ in scores])
-    failures = _FailedPoints([bad for _, bad in scores], pool_of, x, reason)
+    failed = _FailedPoints([bad for _, bad in scores], pool_of, x, reason)
 
     finite = np.isfinite(values)
     if not finite.any():
@@ -338,5 +322,5 @@ def select_bandwidth(
         criterion=values,
         chosen_h=float(h_grid[best]),
         trim_bounds=bounds,
-        failures=failures,
+        _failed=failed,
     )

@@ -298,8 +298,8 @@ def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 
 def _write_cv_trace(out_dir: Path, trace) -> None:
     rows = [
-        (h, crit, int(np.isfinite(crit)), failed)
-        for h, crit, failed in zip(trace.h_grid, trace.criterion, trace._failed_folds())
+        (h, crit, int(np.isfinite(crit)), bad.size)
+        for h, crit, bad in zip(trace.h_grid, trace.criterion, trace._failed.bad)
     ]
     _write_csv(out_dir / "cv_trace.csv", ("h", "criterion", "valid", "failed_folds"), rows)
 

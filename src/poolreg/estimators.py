@@ -16,60 +16,56 @@ derivative of the mean function.
     where mu_hat is the overall per-unit mean response of the full dataset.
 
 One engine serves all four, at a single point and over a whole grid
-alike. A row builder gives the design rows D = (1, D_1, .., D_p) and weights
-w: unit rows t^ell with t = (X - x)/h and weights K_h(X - x), or pool rows
-holding the member averages of t^ell with the average or the product of the
-member weights. The engine forms the normal sums A = sum_r w D D^T and
-b = sum_r w D y as plain row sums and solves A beta = b. A cross-validation
-fold leaves rows out (one record, one pool, or a whole pool's member rows)
-before the sums are formed, so a fold fit is the same computation as a
-plain fit on the data without those rows.
+alike. Every row it sums is a pool, and unit rows (individual, marginal)
+are pools of one, as the individual fit is the pooled fit with all c_j = 1:
+a row holds the member averages D_ell of t^ell, t = (X - x)/h, and the
+average or product w of the member weights K_h(X - x). The engine forms
+A = sum_r w D D^T and b = sum_r w D y, D = (1, D_1, .., D_p), and solves
+A beta = b. A cross-validation fold leaves rows out (one record, one pool,
+or a whole pool's member rows) before the sums are formed, so a fold fit
+is the same computation as a plain fit on the data without those rows.
 
-The sums only visit rows inside the kernel window. The engine takes a
-batch of bandwidths: it sorts the points and the member covariates and
-builds the row tables once per call, then solves one local system per
-bandwidth and point, in blocks of whole bandwidths of at most 2048 systems
-(one bandwidth when it has more points), whose arrays stay small next to a
-flat pass's chunks. Each system carries its own h, so its arithmetic is
-that of a call with that h alone. A block finds each system's window
-[L, R), the sorted members of nonzero weight, by one binary search. Its
-rows are exact: the records in the window; the pools with a member in it,
-each once, for average weights; the pools with every member in it for
-product weights, taken from the pools sorted by last member (a contiguous
-range) by their first member. One flat pass per block over the (system,
-row) pairs, in chunks of 8192, builds the rows and forms each entry of [A
-| b] as a segment sum per system, so its summation order is fixed by the
-data alone. Time is of order the number of pairs, memory of order the
+The sums only visit rows inside the kernel window. One row table per call
+(_row_table) sorts the member covariates and lays the rows out for both
+summation paths: a row at every sorted member holding its pool (unit and
+average rows), or each pool at its last member (product rows). The engine
+takes a batch of bandwidths and solves one local system per bandwidth and
+point, in blocks of whole bandwidths of at most 2048 systems (one
+bandwidth when it has more points); each system carries its own h, so its
+arithmetic is that of a call with that h alone. A block finds each
+system's window [L, R), the sorted members of nonzero weight, by one
+binary search, and the table's gate keeps the records in it, each pool
+with a member in it once for average weights, and the pools with every
+member in it for product weights. One flat pass per block over the
+(system, row) pairs, in chunks of 8192, builds the rows and forms each
+entry of [A | b] as a segment sum per system, so its summation order is
+fixed by the data alone: time of order the pairs, memory of order the
 chunk. The Gaussian kernel has no window: it pairs every point with every
 row.
 
-Wide windows of the polynomial kernels (Epanechnikov, quartic, triweight)
-use running sums instead, for unit rows, average pool rows and product
-pool rows when every pool holds c consecutive sorted members (homogeneous
-pooling) and 2mc <= 8; tricube, the Gaussian kernel and other product
-weights stay on the flat pass. The sorted rows are cut into segments of
-width h/2 anchored at their centres. With s = (anchor - x)/h, a row adds
+Wide windows of the kernels const (1 - t^2)^m (Epanechnikov, quartic,
+triweight) use running sums instead, where the table says they apply: unit
+and average rows, and product rows of pools of c consecutive sorted members
+(homogeneous pooling) with 2mc <= 8. The sorted rows are cut into segments
+of width h/2 anchored at their centres. With s = (anchor - x)/h, a row adds
 to each entry of A and b a polynomial in s: its weight (1 - (s + u)^2)^m /
 c_j, or the product of (1 - (s + v)^2)^m over its members for a product
-row placed at its last member, times the pool means of (s + v)^ell, u and
-v being its own and its members' (X - anchor)/h. Compensated running sums
-of those coefficients, restarted at every segment, give a window as at
-most five segment pieces, each evaluated at its own s by Horner's rule,
-one step for all polynomials of one degree; a fold's rows are built by the
-row builders and subtracted. The running bandwidths of a block share one
-buffer for their sums, which is freed before a flat pass. Each point
-carries a first-order bound on the rounding of its A and b and goes back
-to the flat pass when its count of nonzero-weight rows is below p + 1,
-when the bound leaves its rcond decision open, or when it leaves beta_0
-undetermined to 1e-12 of |beta_0| + max |y|. A bandwidth takes the running
-sums when its flat pass would build more than 28 member rows per row and
-point plus 43,000 (a pool row of largest size c counting c, and an average
-row of pools of c consecutive members counting once per pool, as its gate
-keeps it). CV passes timed on both paths at every candidate h (CHANGES.md)
-put that line near where they cross: a running pass costs about 2-3 ms at
-n = 600 and 5-7 ms at n = 3000 whatever h, a flat pass about 30 ns per
-member row, and the running sums lose on narrow windows, where the bound
-leaves many points to refit.
+row, times the pool means of (s + v)^ell, u and v being its own and its
+members' (X - anchor)/h. Compensated running sums of those coefficients,
+restarted at every segment, give a window as at most five segment pieces,
+each evaluated at its own s by Horner's rule, one step for all polynomials
+of one degree; a fold's rows are built as in the flat pass and subtracted.
+The running bandwidths of a block share one buffer, freed before a flat
+pass. A point goes back to the flat pass when its count of nonzero-weight
+rows is below p + 1 (none for an average window of fewer than c (p + 1 + d)
+members, d rows left out), or when a first-order bound on the rounding of
+its A and b leaves its rcond decision open or beta_0 undetermined to 1e-12
+of |beta_0| + max |y|. A bandwidth takes the running sums when its flat
+pass would build more than 28 member rows per row and point plus 43,000 (a
+pool row of largest size c counting c, the gate keeping one row of a pool
+of c consecutive members). That line lies near where CV passes timed on
+both paths cross (CHANGES.md): a running pass costs about 2-3 ms at n = 600
+and 5-7 ms at n = 3000 whatever h, a flat pass about 30 ns per member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -89,14 +85,15 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveBandwidth, SingularLocalSystem, UserInputError
+from .errors import NonFiniteValue, NonPositiveBandwidth, SingularLocalSystem, UserInputError
 from .data import IndividualDataset, PooledDataset
-from .kernels import _POLY_FAMILY, KernelKind, kernel_eval
+from .kernels import _COMPACT_FAMILY, KernelKind, kernel_eval
 
 __all__ = [
     "Estimator",
@@ -145,6 +142,8 @@ class FitConfig:
             raise UserInputError(f"polynomial order must be >= 0, got {self.p}")
         if not (self.h > 0.0):
             raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.h}")
+        if not math.isfinite(self.h):
+            raise NonFiniteValue(f"bandwidth must be finite, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -240,53 +239,118 @@ _SYSTEMS = 1 << 11
 _SWEEPS = 30
 
 
-def _unit_design(
-    x: np.ndarray, grid: np.ndarray, h, cfg: FitConfig
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Unit rows t^1..t^p of t = (X - x)/h and weights K_h(X - x).
+# One estimator's rows, as both summation paths read them. Row r is a pool:
+# members cov[:, r] (NaN padded if padded), size sizes[r], response resp[r].
+# A window [L, R) of x_sorted holds rows key_rank[L] .. key_rank[R] - 1 (key
+# member in it), from lead_rank[L] on with every member in it; the flat pass
+# keeps those with (gate[0][r] >= L) == gate[1], if gated. place maps a
+# record (unit rows) or pool to its rows, -1 padded. A window costs the flat
+# pass c member rows per group touched; repeats is c where a pool is a row
+# at each member (average rows), else 0.
+_Rows = namedtuple("_Rows", "x_sorted cov sizes resp product padded key key_rank lead_rank gate "
+                            "place group repeats running")
 
-    X (the covariates x), the evaluation points grid and the bandwidths h
-    broadcast to the shape of x, whose memory t takes over.
-    """
-    t = np.subtract(x, grid, out=x)
-    t /= h
-    w = kernel_eval(cfg.kernel, t)
-    w /= h
-    powers = []
-    for ell in range(cfg.p):
-        powers.append(t if ell == 0 else powers[-1] * t)
-    return powers, w
+
+def _row_table(
+    estimator: Estimator, data: IndividualDataset | PooledDataset, kernel: KernelKind,
+    pseudo: PseudoData | None = None, order: np.ndarray | None = None,
+) -> _Rows:
+    """The rows of the estimator on data; order, when given, sorts the covariates stably."""
+    if estimator is Estimator.INDIVIDUAL:
+        if not isinstance(data, IndividualDataset):
+            raise UserInputError("the individual estimator needs unpooled (x, y) data")
+        x, resp = data.x, data.y
+    elif not isinstance(data, PooledDataset):
+        raise UserInputError(f"the {estimator.value} estimator needs pooled data")
+    elif estimator is Estimator.MARGINAL:
+        if pseudo is None:
+            pseudo = build_pseudo_data(data)
+        elif pseudo.source is not data:
+            raise UserInputError("the pseudo data were built from another dataset")
+        x, resp = data.x_flat, pseudo.r_flat
+    else:
+        x, resp = data.x_flat, data.z
+    order = np.argsort(x, kind="stable") if order is None else order
+    n, product = x.size, estimator is Estimator.PRODUCT
+    unit, edges = np.arange(n), np.arange(n + 1)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = unit
+    if estimator in (Estimator.AVERAGE, Estimator.PRODUCT):
+        table, sizes, pool_of = data.member_table, data.sizes, data.member_pool_index
+    else:
+        table, sizes, pool_of = unit[:, None], np.ones(n, dtype=np.int64), unit
+    c = table.shape[1]
+    # each pool's sorted member positions, ascending, -1 padded first
+    ranks = np.sort(np.where(table >= 0, position[table], -1), axis=1)
+    first, last = ranks[np.arange(table.shape[0]), c - sizes], ranks[:, -1]
+    # every pool of c consecutive sorted members (homogeneous pooling)
+    chunked = bool((sizes == c).all() and (last - first + 1 == c).all())
+    if product:
+        # the pools by last member; a window's have last and first in [L, R)
+        space = np.argsort(last, kind="stable")
+        key, lead, group = last[space], first[space], np.arange(space.size)
+        # lead ascends where the running sums apply
+        key_rank, lead_rank = np.searchsorted(key, edges), np.searchsorted(lead, edges)
+        gate, place, repeats = (lead, True), np.argsort(space)[:, None], 0
+    else:
+        # a row at every sorted member, holding its pool: the running sums
+        # weigh each member, the flat pass keeps each pool with a member in
+        # [L, R) once, at the member whose predecessor lies before L
+        space, before = pool_of[order], np.full(n, -1)
+        later = ranks[:, 1:] >= 0
+        before[ranks[:, 1:][later]] = ranks[:, :-1][later]
+        key, key_rank, lead_rank = unit, edges, edges
+        gate, place = ((before, False) if c > 1 else None), ranks
+        # the gate keeps one row of a pool of c consecutive members, and a
+        # window may hold fewer pools than rows
+        group = unit // c if chunked and c > 1 else unit
+        repeats = c if c > 1 else 0
+    members = table[space].T
+    # product rows need pools of c consecutive sorted members (a window's
+    # pools are then a contiguous range, every row of one scale) and a weight
+    # of degree 2 m c <= 8, beyond which the bound leaves most points open
+    _, a, m = _COMPACT_FAMILY.get(kernel, (None, None, None))
+    running = a == 2 and (not product or (m * c <= 4 and chunked))
+    return _Rows(x_sorted=x[order], cov=np.where(members >= 0, x[members], np.nan),
+                 sizes=sizes[space].astype(float), resp=resp[space], product=product,
+                 padded=bool((sizes < c).any()), key=key, key_rank=key_rank,
+                 lead_rank=lead_rank, gate=gate, place=place, group=group, repeats=repeats,
+                 running=running)
 
 
 def _pool_design(
-    members: np.ndarray, sizes: np.ndarray, grid: np.ndarray, h, cfg: FitConfig, product: bool,
+    members: np.ndarray, sizes: np.ndarray | None, grid: np.ndarray, h, cfg: FitConfig,
+    product: bool,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Pool rows: member averages of the unit rows over the first axis.
+    """Pool rows: member averages of the unit rows t^1..t^p of t = (X - x)/h over the first axis.
 
     members holds one slab of member covariates per slot of the member
-    table, NaN for padding, and grid and h broadcast to its shape; t takes
-    over its memory. The pool weight is the average of the member kernel
-    weights, or their product for the product-weighted estimator. Padding
-    adds 0 to every average and 1 to the product; the slabs are reduced one
-    by one.
+    table, and grid and h broadcast to its shape; t takes over its memory.
+    The weight is the average of the member weights K_h(X - x), or their
+    product. sizes holds the pool sizes of a table padded with NaN (which
+    adds 0 to an average, 1 to a product), None when every pool fills every
+    slot. A pool of one is its unit row.
     """
-    pad = np.isnan(members)
+    pad = None if sizes is None else np.isnan(members)
     t = np.subtract(members, grid, out=members)
     t /= h
     k = kernel_eval(cfg.kernel, t)
     k /= h
-    np.copyto(k, 1.0 if product else 0.0, where=pad)
-    w = math.prod(k) if product else sum(k) / sizes
+    if pad is not None:
+        np.copyto(k, 1.0 if product else 0.0, where=pad)
+        np.copyto(t, 0.0, where=pad)
+    c = len(t)
+
+    def mean(slabs):
+        return slabs[0] if c == 1 else sum(slabs) / (c if sizes is None else sizes)
+
+    w = math.prod(k) if product else mean(k)
     del k
-    np.copyto(t, 0.0, where=pad)
-    powers = []
-    power = t
+    powers, power = [], t
     for ell in range(cfg.p):
-        if ell == 1:
-            power = t * t
-        elif ell > 1:
-            power *= t
-        powers.append(sum(power) / sizes)
+        if ell:
+            power = power * t
+        powers.append(mean(power))
     return powers, w
 
 
@@ -318,19 +382,18 @@ def _normal_sums(
 
 
 def _pair_sums(
-    grid: np.ndarray, h: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
-    gate: tuple | None, drop: np.ndarray | None, cfg: FitConfig, rows: tuple,
+    rows: _Rows, cfg: FitConfig, grid: np.ndarray, h: np.ndarray, lo: np.ndarray,
+    hi: np.ndarray, bound: np.ndarray | None = None, drop: np.ndarray | None = None,
 ) -> np.ndarray:
     """[A | b] at every point grid[i] and bandwidth h[i] over its rows lo[i]..hi[i] - 1.
 
-    rows = (covariates (m,) of unit rows or NaN-padded member covariates
-    (c, m) of pool rows, pool sizes, responses, product). gate = (key,
-    above) keeps the pair of point i and row k only where (key[k] >=
-    bound[i]) == above. A fold leaves out the pairs of the rows drop[i] (-1
-    padded), so a fold fit sums what a fit without those rows sums. Chunks
-    of about _PAIRS pairs bound the memory however wide the windows.
+    With bound, the rows' gate (key, above) keeps the pair of point i and
+    row k only where (key[k] >= bound[i]) == above. A fold leaves out the
+    pairs of the rows drop[i] (-1 padded), so a fold fit sums what a fit
+    without those rows sums. Chunks of about _PAIRS pairs bound the memory
+    however wide the windows.
     """
-    q, (cov, sizes, resp, product) = cfg.p + 1, rows
+    q = cfg.p + 1
     Ab = np.zeros((q, q + 1, grid.size))
     width = hi - lo
     before = np.cumsum(width) - width
@@ -340,8 +403,8 @@ def _pair_sums(
         span = before[a:b] - before[a]  # each point's first pair in the chunk
         k = np.repeat(lo[a:b] - span, width[a:b])
         k += step[:k.size]
-        kept = np.ones(k.size, dtype=bool) if gate is None else (
-            (gate[0][k] >= np.repeat(bound[a:b], width[a:b])) == gate[1])
+        kept = np.ones(k.size, dtype=bool) if bound is None or rows.gate is None else (
+            (rows.gate[0][k] >= np.repeat(bound[a:b], width[a:b])) == rows.gate[1])
         if drop is not None:
             hit = drop[a:b]
             inside = (hit >= lo[a:b, None]) & (hit < hi[a:b, None])
@@ -353,11 +416,9 @@ def _pair_sums(
         at, some = np.repeat(grid[a:b], count), np.flatnonzero(count)
         # a chunk of one bandwidth divides by a number, with no per-pair array
         scale = h[a] if (h[a:b] == h[a]).all() else np.repeat(h[a:b], count)
-        if cov.ndim == 1:
-            powers, w = _unit_design(cov[k], at, scale, cfg)
-        else:
-            powers, w = _pool_design(np.take(cov, k, axis=1), sizes[k], at, scale, cfg, product)
-        Ab[..., a + some] = _normal_sums(powers, w, resp[k], span[some])
+        members, sizes = np.take(rows.cov, k, axis=1), rows.sizes[k] if rows.padded else None
+        powers, w = _pool_design(members, sizes, at, scale, cfg, rows.product)
+        Ab[..., a + some] = _normal_sums(powers, w, rows.resp[k], span[some])
     return Ab
 
 
@@ -391,19 +452,20 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _running_sums(
-    xs: np.ndarray, mates: np.ndarray, size: np.ndarray, resp: np.ndarray, h: float,
-    cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray, product: bool, work: dict,
+    rows: _Rows, h: float, cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray,
+    work: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """[A | b] at every point from running sums at bandwidth h, and a bound on its rounding error.
 
-    Row r has covariate xs[r] (ascending), its pool's member covariates
-    mates[:, r] (NaN padded), pool size size[r] and response resp[r]; a unit
-    row is a pool of one. Its weight is the kernel at xs[r] over size[r], or
-    with product the product of its members' kernels (equal pools, no
-    padding). An empty window [L, R) gets zero sums. The large arrays live
-    in work["sums"], which calls on the same rows and points share.
+    Row r weighs the kernel at its key covariate xs[r] over its pool size,
+    or for product rows (equal pools, no padding) the product of its
+    members' kernels. An empty window [L, R) of rows gets zero sums. The
+    large arrays live in work["sums"], which calls on the same rows and
+    points share.
     """
-    const, m = _POLY_FAMILY[cfg.kernel]
+    xs, mates, size, resp = rows.x_sorted[rows.key], rows.cov, rows.sizes, rows.resp
+    product = rows.product
+    const, _, m = _COMPACT_FAMILY[cfg.kernel]
     q, n, size_p = cfg.p + 1, xs.size, points.size
     seg = np.floor((xs - xs[0]) / (0.5 * h))
     new = np.r_[True, seg[1:] != seg[:-1]]
@@ -615,87 +677,29 @@ def _batch_fits(
     estimators, pools for the other two. Those rows stay out of that point's
     normal sums. One row per point gives leave-one-out and
     leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
-    order, when given, is the stable argsort of the covariates; it sorts the
-    points too when they are the covariates.
+    order, when given, is the stable argsort of the covariates, and the
+    points are the covariates.
     """
-    if estimator is Estimator.INDIVIDUAL:
-        if not isinstance(data, IndividualDataset):
-            raise UserInputError("the individual estimator needs unpooled (x, y) data")
-        x, resp = data.x, data.y
-    elif not isinstance(data, PooledDataset):
-        raise UserInputError(f"the {estimator.value} estimator needs pooled data")
-    elif estimator is Estimator.MARGINAL:
-        if pseudo is None:
-            pseudo = build_pseudo_data(data)
-        elif pseudo.source is not data:
-            raise UserInputError("the pseudo data were built from another dataset")
-        x, resp = data.x_flat, pseudo.r_flat
-    else:
-        x, resp = data.x_flat, data.z
-    # covariates and points in ascending order; a point that is not finite
-    # gets an empty window
-    if order is None:
-        order = np.argsort(x, kind="stable")
-    point_order = order if points is x else np.argsort(points, kind="stable")
-    x_sorted, grid = x[order], points[point_order]
-    n, q, eps, size = x.size, cfg.p + 1, np.finfo(float).eps, points.size
+    rows = _row_table(estimator, data, cfg.kernel, pseudo, order)
+    # the points in ascending order; a point that is not finite gets an
+    # empty window
+    point_order = np.argsort(points, kind="stable") if order is None else order
+    x_sorted, grid = rows.x_sorted, points[point_order]
+    n, q, eps, size = x_sorted.size, cfg.p + 1, np.finfo(float).eps, points.size
+    c, folded = rows.cov.shape[0], 0 if drop is None else drop.shape[1]
     finite = np.isfinite(grid)
     grid = np.where(finite, grid, 0.0)
-
-    # the rows in the engine's order (unit rows: the sorted records), each
-    # point's rows lo..hi - 1 kept where gate says so, and the places in
-    # that order that can hold each row (-1 padded)
-    product = estimator is Estimator.PRODUCT
-    place = np.empty(n, dtype=np.intp)
-    place[order] = np.arange(n)
-    gate, cmax, cost, chunked = None, 1, None, False
-    if estimator in (Estimator.AVERAGE, Estimator.PRODUCT):
-        table = data.member_table
-        cmax = table.shape[1]
-        # each pool's sorted member positions, ascending, -1 padded first
-        ranks = np.sort(np.where(table >= 0, place[table], -1), axis=1)
-        first, last = ranks[np.arange(table.shape[0]), cmax - data.sizes], ranks[:, -1]
-        # every pool of cmax consecutive sorted members (homogeneous pooling)
-        chunked = bool((data.sizes == cmax).all() and (last - first + 1 == cmax).all())
-        if product:
-            # the pools by last member; a window's have last and first in [L, R)
-            space = np.argsort(last, kind="stable")
-            gate, place = (first[space], True), np.argsort(space)[:, None]
-        else:
-            # the pool of every sorted member: each pool with a member in
-            # [L, R) once, at the member whose predecessor lies before L
-            space, before, place = data.member_pool_index[order], np.full(n, -1), ranks
-            later = ranks[:, 1:] >= 0
-            before[ranks[:, 1:][later]] = ranks[:, :-1][later]
-            gate = (before, False)
-            if chunked:
-                # the gate keeps one member of each pool in a window: those
-                # first in their pools, and the one at L; cost counts the first
-                cost = np.r_[0, np.cumsum(before < 0)]
-        members = table[space].T
-        rows = (np.where(members >= 0, x[members], np.nan), data.sizes[space].astype(float),
-                resp[space], product)
-    else:
-        rows, place = (x_sorted, np.ones(n), resp[order], False), place[:, None]
-    # product rows sit at their pools' last members
-    last_sorted = last[space] if product else None
-    xs, mates = x_sorted[last_sorted] if product else x_sorted, np.atleast_2d(rows[0])
-    # product rows need pools of cmax consecutive sorted members (a window's
-    # pools are then a contiguous range, every row of one scale) and a weight
-    # of degree 2 m cmax <= 8, beyond which the bound leaves most points open
-    running = cfg.kernel in _POLY_FAMILY and (
-        not product or (_POLY_FAMILY[cfg.kernel][1] * cmax <= 4 and chunked))
     if drop is not None:
         # per sorted point the places of its fold's rows, and for the running
         # sums one place per dropped row
-        flat_drop = np.where(drop[point_order, :, None] >= 0, place[drop[point_order]], -1
-                             ).reshape(size, drop.shape[1] * place.shape[1])
-        left_out = np.where(drop >= 0, place[drop, -1], -1)[point_order].ravel()
+        flat_drop = np.where(drop[point_order, :, None] >= 0, rows.place[drop[point_order]], -1
+                             ).reshape(size, folded * rows.place.shape[1])
+        left_out = np.where(drop >= 0, rows.place[drop, -1], -1)[point_order].ravel()
 
     hs = np.asarray(hs, dtype=float)
     # h ** ell one h at a time, as a one-h call rounds it (an array power may not)
     scale = np.array([h ** np.arange(q) for h in hs]).T
-    ymax = np.abs(resp).max()
+    ymax = np.abs(rows.resp).max()
     per = max(1, _SYSTEMS // max(size, 1))
     work = {}
     for c0 in range(0, hs.size, per):
@@ -707,41 +711,39 @@ def _batch_fits(
                                             np.full(block.size * size, n)))
         empty = ~np.tile(finite, block.size)
         L[empty] = R[empty] = 0
-        lo, hi = (np.searchsorted(last_sorted, L), np.searchsorted(last_sorted, R)) \
-            if product else (L, R)
+        lo, hi = rows.key_rank[L], rows.key_rank[R]
         beta, failed = np.empty((L.size, q)), np.empty(L.size, dtype=bool)
 
         def flat_pass(todo):
             # the running sums' space goes first: a flat pass needs as much
             work.clear()
             point, k = todo % size, todo // size
-            Ab = _pair_sums(grid[point], block[k], lo[todo], hi[todo], L[todo], gate,
-                            None if drop is None else flat_drop[point], cfg, rows)
+            Ab = _pair_sums(rows, cfg, grid[point], block[k], lo[todo], hi[todo], L[todo],
+                            None if drop is None else flat_drop[point])
             beta[todo], failed[todo] = _solve(Ab, scale[:, c0 + k])[:2]
 
-        # flat pairs per bandwidth, a pool row of largest size c counting c
-        pairs = (hi - lo if cost is None else cost[R] - cost[L] + (
-            (R > L) & (before[np.minimum(L, n - 1)] >= 0))).reshape(block.size, size).sum(axis=1)
-        sums = running & (pairs * cmax > _RUNNING_MIN * (n + size) + _RUNNING_BASE)
+        # flat member rows per bandwidth: c per group of rows a window touches
+        touched = np.where(hi > lo, rows.group[hi - 1] - np.take(rows.group, lo, mode="clip") + 1,
+                           0).reshape(block.size, size).sum(axis=1)
+        sums = rows.running & (touched * c > _RUNNING_MIN * (n + size) + _RUNNING_BASE)
         if not sums.all():
             # the block's flat bandwidths
             flat_pass(np.flatnonzero(~np.repeat(sums, size)))
         todo = []
         for k in np.flatnonzero(sums):
             h, at = block[k], slice(k * size, (k + 1) * size)
-            Lk, Rk, hik = L[at], R[at], hi[at]
-            start = np.minimum(np.searchsorted(gate[0], Lk), hik) if product else Lk
-            Ab, E = _running_sums(xs, mates, *rows[1:3], h, cfg, grid, start, hik, product, work)
-            # rows of nonzero weight; an average window of fewer than c (q + d)
-            # members may hold fewer than q + d pools and is refit
-            count = hik - start
-            if estimator is Estimator.AVERAGE:
-                count[Rk - Lk < cmax * (q + (0 if drop is None else drop.shape[1]))] = 0
+            start = np.minimum(rows.lead_rank[L[at]], hi[at])
+            Ab, E = _running_sums(rows, h, cfg, grid, start, hi[at], work)
+            # rows of nonzero weight; where pools repeat at their members, a
+            # window of fewer than c (q + d) members may hold fewer than
+            # q + d pools and is refit
+            count = hi[at] - start
+            count[R[at] - L[at] < rows.repeats * (q + folded)] = 0
             if drop is not None:
                 # the fold's rows, one pair each, subtracted
-                fold = _pair_sums(np.repeat(grid, drop.shape[1]), np.full(left_out.size, h),
-                                  left_out, left_out + (left_out >= 0), None, None, None, cfg,
-                                  rows).reshape(q, q + 1, size, -1)
+                fold = _pair_sums(rows, cfg, np.repeat(grid, folded), np.full(left_out.size, h),
+                                  left_out, left_out + (left_out >= 0)
+                                  ).reshape(q, q + 1, size, -1)
                 count -= (fold[0, 0] > 0).sum(axis=-1)
                 fold = fold.sum(axis=-1)
                 Ab -= fold

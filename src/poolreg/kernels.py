@@ -7,9 +7,10 @@ Conventions used throughout the package:
   * the moment of order ell and power q is the integral of t^ell K(t)^q dt.
 
 Every moment has a closed form, and odd orders vanish by symmetry. The
-compact kernels are const (1 - |t|^a)^m (a = 2 with m = 1, 2, 3 for
-Epanechnikov, quartic and triweight; a = 3, m = 3 for tricube), so for even
-ell a binomial expansion gives
+compact kernels are const (1 - |t|^a)^m, in one table (_COMPACT_FAMILY) that
+kernel_eval, the moments and the engine's running sums read (a = 2 with
+m = 1, 2, 3 for Epanechnikov, quartic and triweight; a = 3, m = 3 for
+tricube), so for even ell a binomial expansion gives
 
     int t^ell K^q = 2 const^q sum_i C(mq, i) (-1)^i / (ell + a i + 1),
 
@@ -18,15 +19,13 @@ summed in exact rationals and rounded once. For the Gaussian kernel,
     int t^ell K^q = (ell - 1)!! (2 pi)^(-(q - 1)/2) q^(-(ell + 1)/2),
 
 whose rational part is exact, so q = 1 gives the integers (ell - 1)!!.
-Results are cached per (kernel, order, power). The cache is safe for
-concurrent reads; inserts are serialized by a lock.
+Results are cached per (kernel, order, power).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -62,16 +61,11 @@ class KernelKind(enum.Enum):
             ) from None
 
 
-# (normalizing constant, exponent) for kernels of the form const * (1-t^2)^m
-_POLY_FAMILY = {
-    KernelKind.EPANECHNIKOV: (Fraction(3, 4), 1),
-    KernelKind.QUARTIC: (Fraction(15, 16), 2),
-    KernelKind.TRIWEIGHT: (Fraction(35, 32), 3),
-}
-
 # (normalizing constant, a, m) for every compact kernel const * (1-|t|^a)^m
 _COMPACT_FAMILY = {
-    **{kind: (const, 2, m) for kind, (const, m) in _POLY_FAMILY.items()},
+    KernelKind.EPANECHNIKOV: (Fraction(3, 4), 2, 1),
+    KernelKind.QUARTIC: (Fraction(15, 16), 2, 2),
+    KernelKind.TRIWEIGHT: (Fraction(35, 32), 2, 3),
     KernelKind.TRICUBE: (Fraction(70, 81), 3, 3),
 }
 
@@ -84,13 +78,8 @@ def kernel_eval(kind: KernelKind, t):
     if kind is KernelKind.GAUSSIAN:
         out = np.exp(-0.5 * t * t) / _SQRT_2PI
         return out if out.ndim else float(out)
-    inside = np.abs(t) <= 1.0
-    if kind is KernelKind.TRICUBE:
-        body = (70.0 / 81.0) * (1.0 - np.abs(t) ** 3) ** 3
-    else:
-        const, m = _POLY_FAMILY[kind]
-        body = float(const) * (1.0 - t * t) ** m
-    out = np.where(inside, body, 0.0)
+    const, a, m = _COMPACT_FAMILY[kind]
+    out = np.where(np.abs(t) <= 1.0, float(const) * (1.0 - np.abs(t) ** a) ** m, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -110,7 +99,6 @@ def _moment(kind: KernelKind, ell: int, power: int) -> float:
 
 
 _cache: dict[tuple[KernelKind, int, int], tuple[float, ...]] = {}
-_cache_lock = threading.Lock()
 
 
 def compute_moments(kind: KernelKind, max_order: int, power: int = 1) -> tuple[float, ...]:
@@ -124,9 +112,6 @@ def compute_moments(kind: KernelKind, max_order: int, power: int = 1) -> tuple[f
     if power < 1:
         raise ValueError("power must be >= 1")
     key = (kind, max_order, power)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    values = tuple(_moment(kind, ell, power) for ell in range(max_order + 1))
-    with _cache_lock:
-        return _cache.setdefault(key, values)
+    if key not in _cache:
+        _cache[key] = tuple(_moment(kind, ell, power) for ell in range(max_order + 1))
+    return _cache[key]

@@ -34,7 +34,6 @@ from .data import (
 )
 from .errors import (
     IncompleteCurve,
-    NonPositiveBandwidth,
     NumericalFailure,
     TooFewRecords,
     UserInputError,
@@ -347,8 +346,8 @@ class SimulationSpec:
             )
         if self.design not in (Design.RANDOM, Design.HOMOGENEOUS):
             raise UserInputError("design must be random or homogeneous")
-        if self.h is not None and not self.h > 0.0:
-            raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.h}")
+        # the order and a fixed bandwidth are checked as fits check them
+        self.base_config(1.0 if self.h is None else self.h)
 
     def base_config(self, h: float) -> FitConfig:
         return FitConfig(p=self.p, h=h, kernel=self.kernel)

@@ -19,6 +19,7 @@ from poolreg.data import (
     pool_random,
 )
 from poolreg.errors import (
+    NonFiniteValue,
     NoValidBandwidth,
     SingularLocalSystem,
     TooFewRecords,
@@ -321,6 +322,11 @@ class TestSelectBandwidth:
             select_bandwidth(pooled, Estimator.AVERAGE, BASE, grid=[])
         with pytest.raises(UserInputError):
             select_bandwidth(pooled, Estimator.MARGINAL, BASE, criterion="banana")
+
+    def test_infinite_candidate_rejected(self):
+        # an infinite h is no candidate: every fold of it fails
+        with pytest.raises(NonFiniteValue):
+            select_bandwidth(random_pooled(), Estimator.MARGINAL, BASE, grid=[0.3, np.inf])
 
 
 class TestTrimBounds:

@@ -14,6 +14,7 @@ from poolreg.data import (
     pool_random,
 )
 from poolreg.errors import (
+    NonFiniteValue,
     NonPositiveBandwidth,
     SingularLocalSystem,
     UserInputError,
@@ -90,6 +91,11 @@ class TestFitConfig:
             FitConfig(p=1, h=0.0)
         with pytest.raises(UserInputError):
             FitConfig(p=-1, h=1.0)
+
+    def test_infinite_bandwidth_is_rejected(self):
+        # h = inf passes h > 0 but fails every fit, with a warning
+        with pytest.raises(NonFiniteValue):
+            FitConfig(p=1, h=np.inf)
 
 
 class TestIndividual:
@@ -954,3 +960,37 @@ class TestRunningSums:
         ok = determined & ~want_failed
         assert ok.any()
         np.testing.assert_allclose(beta[ok, 0], want[ok, 0], rtol=1e-9)
+
+
+class TestUnitPools:
+    """Pools of one are unit rows: on either path every estimator gives the individual bits."""
+
+    @pytest.mark.parametrize("running", [True, False])
+    @pytest.mark.parametrize("kernel", [KernelKind.EPANECHNIKOV, KernelKind.TRICUBE,
+                                        KernelKind.GAUSSIAN])
+    def test_bit_for_bit_on_both_paths(self, monkeypatch, running, kernel):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1.0, 1.0, 120)
+        y = np.sin(2.0 * x) + rng.normal(scale=0.2, size=x.size)
+        people = IndividualDataset(x=x, y=y)
+        units = PooledDataset(z=y, sizes=np.ones(x.size, dtype=int), x_flat=x,
+                              design=Design.EXTERNAL)
+        grid = np.linspace(-1.2, 1.2, 25)
+        loo = np.arange(x.size)[:, None]
+        if running:
+            spy = RunningSums(monkeypatch)
+        else:
+            monkeypatch.setattr(estimators, "_RUNNING_MIN", np.inf)
+        for p in (0, 1, 3):
+            for h in (0.06, 0.8):
+                cfg = FitConfig(p=p, h=h, kernel=kernel)
+                want = (_local_fits(Estimator.INDIVIDUAL, people, cfg, x, drop=loo),
+                        _local_fits(Estimator.INDIVIDUAL, people, cfg, grid))
+                for tag in (Estimator.AVERAGE, Estimator.PRODUCT, Estimator.MARGINAL):
+                    got = (_local_fits(tag, units, cfg, x, drop=loo),
+                           _local_fits(tag, units, cfg, grid))
+                    for (beta, failed), (beta0, failed0) in zip(got, want):
+                        assert np.array_equal(failed, failed0), (tag, p, h)
+                        assert np.array_equal(beta, beta0, equal_nan=True), (tag, p, h)
+        if running and kernel is KernelKind.EPANECHNIKOV:
+            assert spy.settled > 0

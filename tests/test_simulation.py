@@ -8,6 +8,7 @@ import pytest
 from poolreg.data import Design, PooledDataset, pool_random
 from poolreg.errors import (
     IncompleteCurve,
+    NonFiniteValue,
     NonPositiveBandwidth,
     TooFewRecords,
     UserInputError,
@@ -183,6 +184,8 @@ class TestSimulationSpec:
             tiny_spec(design=Design.EXTERNAL)
         with pytest.raises(NonPositiveBandwidth):
             tiny_spec(h=0.0)
+        with pytest.raises(NonFiniteValue):
+            tiny_spec(h=math.inf)
         with pytest.raises(UserInputError):
             tiny_spec(grid=())
 
