@@ -193,6 +193,12 @@ def _in_bounds(x: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     return (x >= a) & (x <= b)
 
 
+# fold fits (records x candidates) from which a CV batch is scored over
+# worker processes; below it the workers cost more CPU than they save wall
+# time (CHANGES.md)
+_FORK_MIN = 150_000
+
+
 def _map(fun: Callable, items, jobs: int) -> list:
     """fun over items in order, serially or over at most jobs worker processes."""
     workers = min(jobs, len(items))
@@ -233,9 +239,9 @@ def select_bandwidth(
 ) -> CvTrace:
     """Pick the bandwidth minimizing the estimator's cross-validation criterion.
 
-    The h of base_cfg is ignored; every other field (order, kernel,
-    condition threshold) is used as given. With trim=True prediction points
-    outside the central 95 percent of the covariate sample are skipped.
+    The h of base_cfg is ignored; its order and kernel are used as given.
+    With trim=True prediction points outside the central 95 percent of the
+    covariate sample are skipped.
     For the marginal estimator, criterion picks between the recommended
     "pseudo" (leave one pseudo point out) and the pool-level "pool"
     alternative (leave the whole pool out, residual against Z_j).
@@ -252,11 +258,12 @@ def select_bandwidth(
     that are ordered exactly.
 
     The candidates go to the fitting engine as one batch, which shares the
-    set-up that does not depend on h. jobs > 1 scores them over that many
-    worker processes (never more than there are candidates) instead, in
-    tasks of max(1, K // (4 workers)) consecutive candidates of the K, each
-    task one batch returning per candidate its criterion value or NaN and
-    its failed points; the trace is the same for any jobs.
+    set-up that does not depend on h. jobs is an upper bound on worker
+    processes: a batch of at least _FORK_MIN fold fits (records times
+    candidates) is split over min(jobs, K) workers for the K candidates,
+    worker w scoring candidates w, w + workers, ... as one batch. Smaller
+    batches, where the workers cost more than they save, are scored in this
+    process. The trace is the same for any jobs.
     """
     if isinstance(data, IndividualDataset):
         if tag is not Estimator.INDIVIDUAL:
@@ -296,12 +303,13 @@ def select_bandwidth(
 
     # the points are the covariates: one sort serves both, for every h
     order = np.argsort(x, kind="stable")
-    workers = min(jobs, h_grid.size)
-    per = h_grid.size if workers <= 1 else max(1, h_grid.size // (4 * workers))
-    tasks = [h_grid[i:i + per] for i in range(0, h_grid.size, per)]
-    scores = [score for task in _map(
-        partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target), tasks, jobs)
-        for score in task]
+    # worker w scores candidates w, w + workers, ... as one batch
+    workers = min(jobs, h_grid.size) if x.size * h_grid.size >= _FORK_MIN else 1
+    scores = [None] * h_grid.size
+    for w, task in enumerate(_map(
+            partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target),
+            [h_grid[w::workers] for w in range(workers)], workers)):
+        scores[w::workers] = task
     values = np.array([value for value, _ in scores])
     failed = _FailedPoints([bad for _, bad in scores], pool_of, x, reason)
 

@@ -24,8 +24,12 @@ loads, unless any of them is already set, which is then kept as it is. The
 fits make no LAPACK call and the output sums use numpy reductions, so the
 pool would only idle (its thread spins about 0.1 s of CPU at start-up);
 the parallelism is the ``--jobs`` worker processes, which inherit the
-setting. ``python -m poolreg.cli`` and the ``poolreg`` script both import
-this module before numpy, because ``import poolreg`` loads nothing.
+setting. Cross-validation starts them only for a batch of at least
+150,000 fold fits (see ``poolreg.bandwidth.select_bandwidth``); a smaller
+one, where the workers would cost more CPU than they save wall time, runs
+in the command's own process. ``python -m poolreg.cli`` and the
+``poolreg`` script both import this module before numpy, because
+``import poolreg`` loads nothing.
 
 File schemas
     simulate   replications.csv (rep, estimator, h, ise),
@@ -103,10 +107,11 @@ def _usable_cpus() -> int:
 class RunConfig:
     """Effective settings for one command, defaults filled in.
 
-    jobs is the number of worker processes: simulate fans out replications,
+    jobs bounds the worker processes: simulate fans out replications,
     bootstrap its CV candidates and then its resamples, fit and bandwidth
-    their CV candidates. It defaults to the CPUs this process may run on;
-    outputs are identical for any value.
+    their CV candidates. CV candidates go to workers only for a batch of
+    at least 150,000 fold fits (records times candidates). It defaults to
+    the CPUs this process may run on; outputs are identical for any value.
     """
 
     dgp: str = "d3"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -248,7 +249,7 @@ def _parse_float(text: str, where: str) -> float:
         value = float(text)
     except ValueError:
         raise UserInputError(f"{where}: could not parse {text!r} as a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonFiniteValue(f"{where}: non-finite value {text!r}")
     return value
 

@@ -60,12 +60,16 @@ pass. A point goes back to the flat pass when its count of nonzero-weight
 rows is below p + 1 (none for an average window of fewer than c (p + 1 + d)
 members, d rows left out), or when a first-order bound on the rounding of
 its A and b leaves its rcond decision open or beta_0 undetermined to 1e-12
-of |beta_0| + max |y|. A bandwidth takes the running sums when its flat
-pass would build more than 28 member rows per row and point plus 43,000 (a
-pool row of largest size c counting c, the gate keeping one row of a pool
-of c consecutive members). That line lies near where CV passes timed on
-both paths cross (CHANGES.md): a running pass costs about 2-3 ms at n = 600
-and 5-7 ms at n = 3000 whatever h, a flat pass about 30 ns per member row.
+of |beta_0| + max |y|. The bound also counts what a restart leaves of the
+absolute sum before the segment, about eps per segment row of it: a row
+with a member far from its mates carries terms up to |v|^2p, and the
+points after it go back to the flat pass instead of taking its rounding.
+A bandwidth takes the running sums when its flat pass would build more
+than 28 member rows per row and point plus 43,000 (a pool row of largest
+size c counting c, the gate keeping one row of a pool of c consecutive
+members). That line lies near where CV passes timed on both paths cross
+(CHANGES.md): a running pass costs about 2-3 ms at n = 600 and 5-7 ms at
+n = 3000 whatever h, a flat pass about 30 ns per member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -478,6 +482,10 @@ def _running_sums(
     # a pool wider than 3h is in no window; its product row is zero, which
     # keeps its large terms out of the running sums
     c, reach = (mates.shape[0], v.min(axis=0) >= u - 3.0) if product else (1, None)
+    # first-order rounding per absolute term: u, v and s, the row
+    # polynomials and pool means, the running sums, the pieces and Horner
+    eps = np.finfo(float).eps
+    kappa = (16 * (m * c + q) + 2 * v.shape[0] + 8) * eps
     pairs = [(i, j) for i in range(q) for j in range(i, q + 1)]
     # the polynomials grouped by degree, each group held coefficient-major
     # (row r * G + g holds s^r of its g-th polynomial), so that one Horner
@@ -526,11 +534,21 @@ def _running_sums(
     np.subtract(signed[:, :n - 1], np.subtract(signed[:, 1:n], step, out=fix), out=fix)
     fix += np.subtract(cols[:, 1:], step, out=step)
     np.cumsum(err[:, :n], axis=1, out=err[:, :n])
-    before = np.r_[start[gid] - 1, n]
-    before[before < 0] = n
-    run -= np.take(run, before, axis=1, out=spare[:, :n + 1], mode="clip")
-    lag = np.take(err, before, axis=1, out=spare[:F, :n + 1], mode="clip")
-    signed += np.subtract(err, lag, out=lag)
+    # per segment the column before its first row, and column n (zero),
+    # which restarts at itself
+    before, at = np.r_[np.where(start > 0, start - 1, n), n], np.r_[gid, start.size]
+    prefix, lag = run[:, before], err[:, before]
+    # restarted after an absolute prefix P, a segment's sums over up to its
+    # m rows are off by about m eps P (absolute, uncompensated) and
+    # m eps (|lag| + m eps P) (signed). Lowering the subtracted absolute
+    # prefix by the first plus the second over kappa widens the bound to
+    # cover both, so that rows far from their mates leave later points open
+    rows = np.r_[end - start, 0]
+    prefix[F:] -= eps * ((rows + 2) * prefix[F:]
+                         + rows * (np.abs(lag) + eps * (rows + 3) * prefix[F:]) / kappa)
+    run -= np.take(prefix, at, axis=1, out=spare[:, :n + 1], mode="clip")
+    signed += np.subtract(err, np.take(lag, at, axis=1, out=spare[:F, :n + 1], mode="clip"),
+                          out=spare[:F, :n + 1])
     sums = np.zeros((2 * len(pairs), size_p))
     piece = rest[:2 * F * size_p].reshape(2 * F, size_p)
     low = rest[2 * F * size_p:3 * F * size_p].reshape(F, size_p)
@@ -556,9 +574,6 @@ def _running_sums(
                     value += coef[r]
                 sums[first:first + G] += value
                 row, first = row + (d + 1) * G, first + G
-    # first-order rounding per absolute term: u, v and s, the row
-    # polynomials and pool means, the running sums, the pieces and Horner
-    kappa = (16 * (m * c + q) + 2 * v.shape[0] + 8) * np.finfo(float).eps
     scale = float(const / h) ** c
     out = np.empty((2, q, q + 1, size_p))
     for k, (i, j) in enumerate(pairs):

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end."""
 
 import ast
+import concurrent.futures
 import csv
 import importlib
 import importlib.util
@@ -113,6 +114,30 @@ def test_cv_fit_loads_no_numpy_ma(tmp_path):
     # a serial CV imports no process pool
     assert under(modules, "concurrent.futures", "multiprocessing") == []
     assert (tmp_path / "fit" / "cv_trace.csv").exists()
+
+
+def test_small_cv_fit_starts_no_worker(tmp_path, monkeypatch):
+    # 80 members x 30 candidates is far below the fork line: the default
+    # jobs (every usable CPU) and --jobs 2 score the CV in this process
+    make_data_files(tmp_path)
+    cfg = write_cfg(tmp_path, (
+        f"pools = {tmp_path / 'pools.csv'}\n"
+        f"members = {tmp_path / 'members.csv'}\n"
+        "estimators = average\np = 1\ncv = true\n"
+    ))
+    argv = ["fit", "--config", cfg, "--out", str(tmp_path / "default")]
+    modules = loaded_modules(argv, argv[:-1] + [str(tmp_path / "jobs2"), "--jobs", "2"])
+    assert under(modules, "concurrent.futures", "multiprocessing") == []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert main(argv[:-1] + [str(tmp_path / "here"), "--jobs", "2"]) == 0
+    for file in ("curve.csv", "cv_trace.csv"):
+        want = (tmp_path / "default" / file).read_bytes()
+        assert (tmp_path / "jobs2" / file).read_bytes() == want
+        assert (tmp_path / "here" / file).read_bytes() == want
 
 
 def test_bootstrap_loads_no_numpy_ma(tmp_path):

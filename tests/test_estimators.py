@@ -961,6 +961,57 @@ class TestRunningSums:
         assert ok.any()
         np.testing.assert_allclose(beta[ok, 0], want[ok, 0], rtol=1e-9)
 
+    @staticmethod
+    def agree_with_the_flat_pass(tag, data, cfg, points, ymax):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_RUNNING_MIN", np.inf)
+            want, want_failed = _local_fits(tag, data, cfg, points)
+        with pytest.MonkeyPatch.context() as mp:
+            running = RunningSums(mp)
+            beta, failed = _local_fits(tag, data, cfg, points)
+        # product rows of random pools stay on the flat pass
+        assert (running.last is None) == (tag is Estimator.PRODUCT), tag
+        assert np.array_equal(failed, want_failed), tag
+        ok = ~want_failed
+        np.testing.assert_array_less(np.abs(beta[ok, 0] - want[ok, 0]),
+                                     1e-12 * (np.abs(want[ok, 0]) + ymax), err_msg=str(tag))
+
+    @pytest.mark.parametrize("h", [0.5, 0.3])
+    def test_a_far_pool_member_leaves_later_points_open(self, h):
+        # one member 1e6 away from its mate: its row's terms, about 1e38 at
+        # p = 3, reach every later segment through the restart, and 1311
+        # (h = 0.5) or 1448 (h = 0.3) of these points were off the flat pass
+        # by up to 0.78 before the restart entered the bound
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-2.0, 2.0, 2000)
+        y = np.sin(2.0 * x) + 0.1 * rng.normal(size=x.size)
+        x[np.argmin(x)] = -1e6
+        pooled = pool_random(IndividualDataset(x=x, y=y), 2, rng)
+        self.agree_with_the_flat_pass(Estimator.AVERAGE, pooled, FitConfig(p=3, h=h),
+                                      np.sort(x[x > -2.0]), np.abs(pooled.z).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 3), c=st.integers(2, 3),
+           cauchy=st.booleans(), spread=st.floats(3.0, 6.0), far=st.integers(1, 3))
+    @example(seed=0, p=3, c=2, cauchy=False, spread=6.0, far=2)
+    @example(seed=5, p=3, c=2, cauchy=True, spread=3.0, far=2)
+    def test_far_members_agree_with_the_flat_pass(self, seed, p, c, cauchy, spread, far):
+        # pools spanning 1e3 to 1e6 bandwidths, among uniform or Cauchy
+        # covariates; a member far below the rest puts its terms into every
+        # later segment's restart
+        rng = np.random.default_rng(seed)
+        h = 0.3
+        x = rng.standard_cauchy(600) if cauchy else rng.uniform(-2.0, 2.0, 600)
+        y = np.sin(2.0 * x) + 0.1 * rng.normal(size=x.size)
+        x[rng.choice(x.size, far, replace=False)] = -h * 10.0 ** spread * rng.uniform(1.0, 2.0, far)
+        people = IndividualDataset(x=x, y=y)
+        pooled = pool_random(people, c, rng)
+        points = np.r_[np.linspace(-2.0, 2.0, 41), x[np.abs(x) < 50.0]]
+        cfg = FitConfig(p=p, h=h)
+        for tag in Estimator:
+            data = people if tag is Estimator.INDIVIDUAL else pooled
+            self.agree_with_the_flat_pass(tag, data, cfg, points, c * np.abs(y).max())
+
 
 class TestUnitPools:
     """Pools of one are unit rows: on either path every estimator gives the individual bits."""
