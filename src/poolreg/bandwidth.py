@@ -58,8 +58,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -193,25 +192,6 @@ def _in_bounds(x: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     return (x >= a) & (x <= b)
 
 
-# fold fits (records x candidates) from which a CV batch is scored over
-# worker processes; below it the workers cost more CPU than they save wall
-# time (CHANGES.md)
-_FORK_MIN = 150_000
-
-
-def _map(fun: Callable, items, jobs: int) -> list:
-    """fun over items in order, serially or over at most jobs worker processes."""
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fun(item) for item in items]
-    # imported here, so serial runs load no concurrent.futures or multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fun, items, chunksize=chunk))
-
-
 def _score(tag, data, base_cfg, pseudo, drop, order, needed, target, hs):
     """Per candidate h in hs its criterion, or NaN, and the needed points whose fold failed."""
     x = data.x if tag is Estimator.INDIVIDUAL else data.x_flat
@@ -235,7 +215,6 @@ def select_bandwidth(
     grid=None,
     trim: bool = True,
     criterion: str = "pseudo",
-    jobs: int = 1,
 ) -> CvTrace:
     """Pick the bandwidth minimizing the estimator's cross-validation criterion.
 
@@ -257,13 +236,8 @@ def select_bandwidth(
     pseudo responses for the pseudo criterion. Candidates apart by more than
     that are ordered exactly.
 
-    The candidates go to the fitting engine as one batch, which shares the
-    set-up that does not depend on h. jobs is an upper bound on worker
-    processes: a batch of at least _FORK_MIN fold fits (records times
-    candidates) is split over min(jobs, K) workers for the K candidates,
-    worker w scoring candidates w, w + workers, ... as one batch. Smaller
-    batches, where the workers cost more than they save, are scored in this
-    process. The trace is the same for any jobs.
+    The candidates go to the fitting engine as one batch, scored in the
+    calling process, which shares the set-up that does not depend on h.
     """
     if isinstance(data, IndividualDataset):
         if tag is not Estimator.INDIVIDUAL:
@@ -303,13 +277,7 @@ def select_bandwidth(
 
     # the points are the covariates: one sort serves both, for every h
     order = np.argsort(x, kind="stable")
-    # worker w scores candidates w, w + workers, ... as one batch
-    workers = min(jobs, h_grid.size) if x.size * h_grid.size >= _FORK_MIN else 1
-    scores = [None] * h_grid.size
-    for w, task in enumerate(_map(
-            partial(_score, tag, data, base_cfg, pseudo, drop, order, needed, target),
-            [h_grid[w::workers] for w in range(workers)], workers)):
-        scores[w::workers] = task
+    scores = _score(tag, data, base_cfg, pseudo, drop, order, needed, target, h_grid)
     values = np.array([value for value, _ in scores])
     failed = _FailedPoints([bad for _, bad in scores], pool_of, x, reason)
 

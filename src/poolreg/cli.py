@@ -23,12 +23,10 @@ OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
 loads, unless any of them is already set, which is then kept as it is. The
 fits make no LAPACK call and the output sums use numpy reductions, so the
 pool would only idle (its thread spins about 0.1 s of CPU at start-up);
-the parallelism is the ``--jobs`` worker processes, which inherit the
-setting. Cross-validation starts them only for a batch of at least
-150,000 fold fits (see ``poolreg.bandwidth.select_bandwidth``); a smaller
-one, where the workers would cost more CPU than they save wall time, runs
-in the command's own process. ``python -m poolreg.cli`` and the
-``poolreg`` script both import this module before numpy, because
+the parallelism is the ``--jobs`` worker processes of ``simulate`` and
+``bootstrap``, which inherit the setting. A cross-validation scores all
+its candidates in the process that runs it. ``python -m poolreg.cli`` and
+the ``poolreg`` script both import this module before numpy, because
 ``import poolreg`` loads nothing.
 
 File schemas
@@ -107,11 +105,10 @@ def _usable_cpus() -> int:
 class RunConfig:
     """Effective settings for one command, defaults filled in.
 
-    jobs bounds the worker processes: simulate fans out replications,
-    bootstrap its CV candidates and then its resamples, fit and bandwidth
-    their CV candidates. CV candidates go to workers only for a batch of
-    at least 150,000 fold fits (records times candidates). It defaults to
-    the CPUs this process may run on; outputs are identical for any value.
+    jobs bounds the worker processes of simulate (its replications) and
+    bootstrap (its resamples); fit, bandwidth and theory run in one process,
+    and no cross-validation is split over processes. It defaults to the CPUs
+    this process may run on; outputs are identical for any value.
     """
 
     dgp: str = "d3"
@@ -329,7 +326,7 @@ def _choose_bandwidth(cfg: RunConfig, data, tag: Estimator, out_dir: Path) -> fl
     if not cfg.use_cv:
         return cfg.h
     trace = select_bandwidth(data, tag, _fit_config(cfg, 1.0), trim=cfg.trim,
-                             criterion=cfg.criterion, jobs=cfg.jobs)
+                             criterion=cfg.criterion)
     _write_cv_trace(out_dir, trace)
     return trace.chosen_h
 
@@ -415,12 +412,12 @@ def cmd_bandwidth(cfg: RunConfig, out_dir: Path) -> None:
     data = _load_fit_data(cfg)
     tag = cfg.single_estimator("bandwidth")
     trace = select_bandwidth(data, tag, _fit_config(cfg, 1.0), trim=cfg.trim,
-                             criterion=cfg.criterion, jobs=cfg.jobs)
+                             criterion=cfg.criterion)
     _write_cv_trace(out_dir, trace)
     print(f"chosen_h = {FLOAT_FMT % trace.chosen_h}")
 
 
-def _theory_summary(cfg: RunConfig, ctx, est: Estimator, x: float, sizes: np.ndarray):
+def _theory_summary(cfg: RunConfig, ctx, est: Estimator, x: float, sizes: np.ndarray | None):
     if cfg.design == "homogeneous" and est in (Estimator.AVERAGE, Estimator.PRODUCT):
         return theory.homogeneous_summary(
             ctx, est, x, cfg.p, cfg.h, cfg.n, cfg.c, cfg.kernel
@@ -441,6 +438,11 @@ def _theory_summary(cfg: RunConfig, ctx, est: Estimator, x: float, sizes: np.nda
     return theory.product_random_bias(ctx, x, cfg.p, cfg.h, cfg.c, cfg.kernel)
 
 
+# pools whose sizes the random-design average and marginal rows hold one by
+# one: an 80 MB array, summed once per row
+_THEORY_POOLS_MAX = 10**7
+
+
 def cmd_theory(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.use_cv:
         raise UserInputError("theory needs a numeric 'h'; cross-validation "
@@ -449,8 +451,15 @@ def cmd_theory(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.n < cfg.c:
         raise UserInputError(f"n = {cfg.n} cannot hold even one pool of size {cfg.c}")
     ctx = theory_context(get_dgp(cfg.dgp))
-    # the pools pool_random makes, a last pool of n mod c included
-    sizes = _chunk_sizes(cfg.n, cfg.c)
+    sizes = None
+    if cfg.design == "random" and {Estimator.AVERAGE, Estimator.MARGINAL} & set(cfg.estimators):
+        if cfg.n // cfg.c > _THEORY_POOLS_MAX:
+            raise UserInputError(
+                f"n = {cfg.n} in pools of c = {cfg.c} makes more than {_THEORY_POOLS_MAX} "
+                "pools, the most the random-design average and marginal rows take"
+            )
+        # the pools pool_random makes, a last pool of n mod c included
+        sizes = _chunk_sizes(cfg.n, cfg.c)
 
     rows = []
     for x in cfg.grid():

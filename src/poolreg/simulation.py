@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bandwidth import _map, _quantiles, select_bandwidth
+from .bandwidth import _quantiles, select_bandwidth
 from .data import (
     Design,
     IndividualDataset,
@@ -414,6 +414,23 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
         index=index, master_seed=spec.seed, curves=curves,
         ises=ises, bandwidths=bandwidths, failures=tuple(failures),
     )
+
+
+def _map(fun: Callable, items, jobs: int) -> list:
+    """fun over items in order, serially or over at most jobs worker processes.
+
+    The two fan-outs of this package call it: the replications of
+    run_monte_carlo and the resamples of bootstrap_curves.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fun(item) for item in items]
+    # imported here, so serial runs load no concurrent.futures or multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunk = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fun, items, chunksize=chunk))
 
 
 def run_monte_carlo(spec: SimulationSpec, jobs: int = 1) -> list[ReplicationRecord]:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -315,6 +314,15 @@ class TestSelectBandwidth:
         assert np.isnan(trace.criterion[0])
         assert any(f.h == 0.6 for f in trace.failures)
 
+    def test_product_with_failing_narrow_candidates(self):
+        pooled = random_pooled(seed=10, n=120, c=2)
+        trace = select_bandwidth(pooled, Estimator.PRODUCT, FitConfig(p=1, h=1.0),
+                                 grid=default_h_grid(pooled.x_flat, n=12))
+        failed_h = {f.h for f in trace.failures}
+        assert np.isnan(trace.criterion[0]) and trace.h_grid[0] in failed_h
+        assert np.isfinite(trace.criterion).any()
+        assert len(trace.failures) > len(failed_h)
+
     def test_bad_grid_rejected(self):
         pooled = random_pooled()
         with pytest.raises(UserInputError):
@@ -356,104 +364,6 @@ class TestTrimBounds:
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.fixture
-def always_fork(monkeypatch):
-    """Every CV batch, however small, is scored over worker processes."""
-    monkeypatch.setattr(bandwidth, "_FORK_MIN", 0)
-
-
-@pytest.mark.usefixtures("always_fork")
-class TestJobsInvariance:
-    """Candidates scored over worker processes give the serial trace exactly."""
-
-    @staticmethod
-    def same_trace(data, tag, cfg, **kw):
-        serial = select_bandwidth(data, tag, cfg, jobs=1, **kw)
-        for jobs in (2, 3):
-            fanned = select_bandwidth(data, tag, cfg, jobs=jobs, **kw)
-            assert fanned.criterion.tobytes() == serial.criterion.tobytes(), jobs
-            assert fanned.chosen_h == serial.chosen_h, jobs
-            assert fanned.failures == serial.failures, jobs
-        return serial
-
-    def test_individual(self):
-        people = sample_dgp(get_dgp("d2"), 400, np.random.default_rng(5))
-        self.same_trace(people, Estimator.INDIVIDUAL, FitConfig(p=1, h=1.0))
-
-    def test_average_with_random_pools(self):
-        pooled = random_pooled(seed=9, n=300, c=3)
-        self.same_trace(pooled, Estimator.AVERAGE, FitConfig(p=1, h=1.0))
-
-    def test_product_with_failing_narrow_candidates(self):
-        pooled = random_pooled(seed=10, n=120, c=2)
-        trace = self.same_trace(pooled, Estimator.PRODUCT, FitConfig(p=1, h=1.0),
-                                grid=default_h_grid(pooled.x_flat, n=12))
-        failed_h = {f.h for f in trace.failures}
-        assert np.isnan(trace.criterion[0]) and trace.h_grid[0] in failed_h
-        assert np.isfinite(trace.criterion).any()
-        assert len(trace.failures) > len(failed_h)
-
-    @pytest.mark.parametrize("criterion", ["pseudo", "pool"])
-    def test_marginal(self, criterion):
-        pooled = random_pooled(seed=11, n=300, c=3)
-        self.same_trace(pooled, Estimator.MARGINAL, FitConfig(p=1, h=1.0),
-                        criterion=criterion)
-
-    @pytest.mark.parametrize("count", [2, 7])
-    def test_interleaved_slices(self, monkeypatch, count):
-        # 7 candidates split unevenly over 2 or 3 workers, 2 over fewer
-        # workers than jobs; worker w gets candidates w, w + workers, ...
-        slices, fan = [], bandwidth._map
-
-        def spy(fun, items, jobs):
-            slices.append([h.tolist() for h in items])
-            return fan(fun, items, jobs)
-
-        monkeypatch.setattr(bandwidth, "_map", spy)
-        pooled = random_pooled(seed=10, n=120, c=2)
-        grid = default_h_grid(pooled.x_flat, n=count)
-        trace = self.same_trace(pooled, Estimator.PRODUCT, FitConfig(p=1, h=1.0), grid=grid)
-        assert trace.failures
-        assert slices[0] == [grid.tolist()]
-        for jobs, got in zip((2, 3), slices[1:]):
-            workers = min(jobs, count)
-            assert got == [grid[w::workers].tolist() for w in range(workers)]
-
-
-class TestForkLine:
-    """Batches below _FORK_MIN fold fits score in this process, larger ones fork."""
-
-    def test_small_batch_starts_no_worker(self, monkeypatch):
-        pooled = random_pooled(seed=9, n=300, c=3)
-        serial = select_bandwidth(pooled, Estimator.AVERAGE, FitConfig(p=1, h=1.0))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker process was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        got = select_bandwidth(pooled, Estimator.AVERAGE, FitConfig(p=1, h=1.0), jobs=2)
-        assert got.criterion.tobytes() == serial.criterion.tobytes()
-        assert got.failures == serial.failures
-
-    @pytest.mark.parametrize("n, workers", [(3000, 1), (12_000, 2)])
-    def test_the_line_at_30_candidates(self, monkeypatch, n, workers):
-        # the benchmark's fit-large batches, 3000 members x 30 candidates,
-        # stay in process; 12,000 members fork
-        class Stop(Exception):
-            pass
-
-        calls = []
-
-        def spy(fun, items, jobs):
-            calls.append((len(items), jobs))
-            raise Stop
-
-        monkeypatch.setattr(bandwidth, "_map", spy)
-        with pytest.raises(Stop):
-            select_bandwidth(random_pooled(seed=3, n=n, c=3), Estimator.AVERAGE, BASE, jobs=2)
-        assert calls == [(workers, workers)]
-
-
 class TestBatchedScoring:
     """A batch of candidates in one engine call scores them exactly as one at a time."""
 
@@ -468,7 +378,6 @@ class TestBatchedScoring:
         (KernelKind.EPANECHNIKOV, False), (KernelKind.EPANECHNIKOV, True),
         (KernelKind.TRICUBE, False), (KernelKind.GAUSSIAN, False),
     ])
-    @pytest.mark.usefixtures("always_fork")
     def test_same_bits_as_one_candidate_per_call(self, monkeypatch, design, p, kernel, running):
         rng = np.random.default_rng(p)
         people = sample_dgp(get_dgp("d2"), 240, rng)
@@ -490,11 +399,10 @@ class TestBatchedScoring:
             with monkeypatch.context() as patched:
                 patched.setattr(bandwidth, "_batch_fits", self.one_at_a_time)
                 want = select_bandwidth(data, tag, cfg, grid=grid, criterion=criterion)
-            for jobs in (1, 2) if p == 1 else (1,):
-                got = select_bandwidth(data, tag, cfg, grid=grid, criterion=criterion, jobs=jobs)
-                assert got.criterion.tobytes() == want.criterion.tobytes(), (tag, jobs)
-                assert got.failures == want.failures, (tag, jobs)
-                assert got.chosen_h == want.chosen_h, (tag, jobs)
+            got = select_bandwidth(data, tag, cfg, grid=grid, criterion=criterion)
+            assert got.criterion.tobytes() == want.criterion.tobytes(), tag
+            assert got.failures == want.failures, tag
+            assert got.chosen_h == want.chosen_h, tag
 
 
 def test_criterion_independent_of_blas_threads():

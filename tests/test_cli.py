@@ -116,10 +116,12 @@ def test_cv_fit_loads_no_numpy_ma(tmp_path):
     assert (tmp_path / "fit" / "cv_trace.csv").exists()
 
 
-def test_small_cv_fit_starts_no_worker(tmp_path, monkeypatch):
-    # 80 members x 30 candidates is far below the fork line: the default
-    # jobs (every usable CPU) and --jobs 2 score the CV in this process
-    make_data_files(tmp_path)
+def test_large_cv_fit_starts_no_worker(tmp_path, monkeypatch):
+    # 6000 members x 30 candidates: every CV batch scores in the calling
+    # process, whatever --jobs says
+    rng = np.random.default_rng(17)
+    pooled = pool_random(sample_dgp(get_dgp("d1"), 6000, rng), 3, rng)
+    write_pooled_csv(tmp_path / "pools.csv", tmp_path / "members.csv", pooled)
     cfg = write_cfg(tmp_path, (
         f"pools = {tmp_path / 'pools.csv'}\n"
         f"members = {tmp_path / 'members.csv'}\n"
@@ -568,6 +570,31 @@ class TestTheory:
             np.testing.assert_allclose([float(v) for v in r[2:]],
                                        [s.persistent_bias, s.leading_bias, variance],
                                        rtol=1e-12, atol=0)
+
+    @staticmethod
+    def huge_n_run(tmp_path, design):
+        # 5 * 10^14 pools of two; only the random-design average and marginal
+        # rows read the pool sizes
+        cfg = write_cfg(tmp_path, (
+            f"dgp = d2\nn = {10 ** 15}\nc = 2\ndesign = {design}\n"
+            "estimators = individual,average\np = 1\nh = 0.25\ngrid_count = 5\n"
+        ))
+        proc = run_cli("theory", "--config", cfg, "--out", str(tmp_path / "th"))
+        assert "Traceback" not in proc.stderr
+        return proc, tmp_path / "th" / "theory.csv"
+
+    def test_huge_n_homogeneous_builds_no_pool_sizes(self, tmp_path):
+        proc, csv_path = self.huge_n_run(tmp_path, "homogeneous")
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_rows(csv_path)
+        assert [r[1] for r in rows] == ["individual", "average"] * 5
+
+    def test_huge_n_random_pool_sizes_are_refused(self, tmp_path):
+        proc, csv_path = self.huge_n_run(tmp_path, "random")
+        assert proc.returncode == 2, proc.stderr
+        assert (f"n = {10 ** 15} in pools of c = 2 makes more than 10000000 pools"
+                in proc.stderr)
+        assert not csv_path.exists()
 
     def test_cv_config_is_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, THEORY_CFG.replace("h = 0.1", "cv = true"))

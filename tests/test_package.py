@@ -55,8 +55,7 @@ OPTIONS = {
     "compute_moments.power", "default_h_grid.n", "estimate_curve.pseudo",
     "homogeneous_summary.kernel", "individual_summary.kernel",
     "marginal_random_summary.kernel", "product_random_bias.kernel", "run_monte_carlo.jobs",
-    "select_bandwidth.criterion", "select_bandwidth.grid",
-    "select_bandwidth.jobs", "select_bandwidth.trim",
+    "select_bandwidth.criterion", "select_bandwidth.grid", "select_bandwidth.trim",
 }
 
 
