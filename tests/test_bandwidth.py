@@ -1,8 +1,10 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from poolreg.estimators import (
     fit_individual,
 )
 from poolreg.kernels import KernelKind
-from poolreg.simulation import get_dgp, sample_dgp
+from poolreg.simulation import _map, get_dgp, sample_dgp
 
 BASE = FitConfig(p=0, h=1.0)
 
@@ -362,6 +364,58 @@ class TestTrimBounds:
         want = np.quantile(values, [0.05, 0.95], axis=0)
         got = np.array(_quantiles(np.sort(values, axis=0), (0.05, 0.95)))
         assert got.tobytes() == want.tobytes()
+
+
+class TestScoredInAWorker:
+    """CV run in a worker process, as simulate --jobs N runs it, gives the serial trace exactly."""
+
+    @staticmethod
+    def same_trace(data, tag, cfg, **kw):
+        serial = select_bandwidth(data, tag, cfg, **kw)
+        # two items over two jobs: each trace comes back from its own worker
+        for fanned in _map(partial(select_bandwidth, data, tag, **kw), [cfg, cfg], 2):
+            assert fanned.criterion.tobytes() == serial.criterion.tobytes()
+            assert fanned.chosen_h == serial.chosen_h
+            assert fanned.failures == serial.failures
+        return serial
+
+    def test_individual(self):
+        people = sample_dgp(get_dgp("d2"), 400, np.random.default_rng(5))
+        self.same_trace(people, Estimator.INDIVIDUAL, FitConfig(p=1, h=1.0))
+
+    def test_average_with_random_pools(self):
+        pooled = random_pooled(seed=9, n=300, c=3)
+        self.same_trace(pooled, Estimator.AVERAGE, FitConfig(p=1, h=1.0))
+
+    def test_product_with_failing_narrow_candidates(self):
+        pooled = random_pooled(seed=10, n=120, c=2)
+        trace = self.same_trace(pooled, Estimator.PRODUCT, FitConfig(p=1, h=1.0),
+                                grid=default_h_grid(pooled.x_flat, n=12))
+        assert trace.failures
+
+    @pytest.mark.parametrize("criterion", ["pseudo", "pool"])
+    def test_marginal(self, criterion):
+        pooled = random_pooled(seed=11, n=300, c=3)
+        self.same_trace(pooled, Estimator.MARGINAL, FitConfig(p=1, h=1.0),
+                        criterion=criterion)
+
+
+class TestOneProcess:
+    """Every CV batch scores in the calling process, however many fold fits it holds."""
+
+    @pytest.mark.parametrize("n", [300, 3000, 12_000])
+    def test_no_batch_starts_a_worker(self, monkeypatch, n):
+        # 3000 members x 30 candidates is the benchmark's fit-large batch;
+        # 12,000 members make 360,000 fold fits, above the old fork line
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        trace = select_bandwidth(random_pooled(seed=3, n=n, c=3), Estimator.AVERAGE, BASE)
+        assert trace.h_grid.size == 30
+        assert trace.chosen_h in trace.h_grid
+        assert np.isfinite(trace.criterion).any()
 
 
 class TestBatchedScoring:

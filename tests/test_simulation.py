@@ -1,5 +1,6 @@
 """Data-generator, Monte Carlo, quartile, and bootstrap checks."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from poolreg.simulation import (
     DGP_REGISTRY,
     ReplicationRecord,
     SimulationSpec,
+    _map,
     _resample_pools,
     bootstrap_curves,
     get_dgp,
@@ -188,6 +190,32 @@ class TestSimulationSpec:
             tiny_spec(h=math.inf)
         with pytest.raises(UserInputError):
             tiny_spec(grid=())
+
+
+class TestMap:
+    """_map, the fan-out of replications and bootstrap resamples."""
+
+    @pytest.mark.parametrize("jobs, count", [(1, 5), (4, 1), (3, 0)])
+    def test_one_worker_or_less_runs_here(self, monkeypatch, jobs, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        items = [float(i) for i in range(count)]
+        assert _map(math.sqrt, items, jobs) == [math.sqrt(v) for v in items]
+
+    @pytest.mark.parametrize("jobs, count, workers", [(3, 7, 3), (4, 2, 2)])
+    def test_workers_keep_item_order(self, monkeypatch, jobs, count, workers):
+        started, real = [], concurrent.futures.ProcessPoolExecutor
+
+        def spy(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+        items = list(range(-count, 0))
+        assert _map(abs, items, jobs) == [abs(v) for v in items]
+        assert started == [workers]
 
 
 class TestMonteCarlo:
