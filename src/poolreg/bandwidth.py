@@ -192,22 +192,6 @@ def _in_bounds(x: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     return (x >= a) & (x <= b)
 
 
-def _score(tag, data, base_cfg, pseudo, drop, order, needed, target, hs):
-    """Per candidate h in hs its criterion, or NaN, and the needed points whose fold failed."""
-    x = data.x if tag is Estimator.INDIVIDUAL else data.x_flat
-    scores = []
-    for beta, failed in _batch_fits(tag, data, base_cfg, hs, x, pseudo, drop, order):
-        bad = np.flatnonzero(failed & needed)
-        if bad.size:
-            scores.append((np.nan, bad))
-        elif target is None:
-            scores.append((_pool_rss(data, beta[:, 0], needed), bad))
-        else:
-            resid = np.where(needed, target - beta[:, 0], 0.0)
-            scores.append((float(np.sum(resid * resid)), bad))
-    return scores
-
-
 def select_bandwidth(
     data: IndividualDataset | PooledDataset,
     tag: Estimator,
@@ -236,8 +220,8 @@ def select_bandwidth(
     pseudo responses for the pseudo criterion. Candidates apart by more than
     that are ordered exactly.
 
-    The candidates go to the fitting engine as one batch, scored in the
-    calling process, which shares the set-up that does not depend on h.
+    The candidates go to the fitting engine as one batch, which shares the
+    set-up that does not depend on h, and are scored as their fits come back.
     """
     if isinstance(data, IndividualDataset):
         if tag is not Estimator.INDIVIDUAL:
@@ -260,7 +244,6 @@ def select_bandwidth(
 
     bounds = trim_bounds_for(x) if trim else None
     needed = _in_bounds(x, bounds)
-    pseudo = build_pseudo_data(data) if tag is Estimator.MARGINAL else None
     kind = criterion if tag is Estimator.MARGINAL else "pool"
     # predictions are made at every observed covariate x; drop holds the rows
     # each one's fold leaves out of its fit, and target the responses they are
@@ -268,18 +251,25 @@ def select_bandwidth(
     if tag is Estimator.INDIVIDUAL:
         drop, pool_of, target = np.arange(x.size)[:, None], np.arange(x.size), data.y
     elif kind == "pseudo":
-        drop, pool_of, target = np.arange(x.size)[:, None], data.member_pool_index, pseudo.r_flat
+        drop, pool_of = np.arange(x.size)[:, None], data.member_pool_index
+        target = build_pseudo_data(data).r_flat
     else:
         pool_of, target = data.member_pool_index, None
         drop = data.member_table[pool_of] if tag is Estimator.MARGINAL else pool_of[:, None]
     reason = ("leave-one-pseudo-point-out fit singular" if kind == "pseudo"
               else "leave-pool-out fit singular at a member covariate")
 
-    # the points are the covariates: one sort serves both, for every h
-    order = np.argsort(x, kind="stable")
-    scores = _score(tag, data, base_cfg, pseudo, drop, order, needed, target, h_grid)
-    values = np.array([value for value, _ in scores])
-    failed = _FailedPoints([bad for _, bad in scores], pool_of, x, reason)
+    # per candidate its criterion, or NaN, and the needed points whose fold failed
+    values, bad = np.full(h_grid.size, np.nan), []
+    for k, (beta, failed) in enumerate(_batch_fits(tag, data, base_cfg, h_grid, x, drop)):
+        bad.append(np.flatnonzero(failed & needed))
+        if bad[k].size:
+            continue
+        if target is None:
+            values[k] = _pool_rss(data, beta[:, 0], needed)
+        else:
+            resid = np.where(needed, target - beta[:, 0], 0.0)
+            values[k] = float(np.sum(resid * resid))
 
     finite = np.isfinite(values)
     if not finite.any():
@@ -298,5 +288,5 @@ def select_bandwidth(
         criterion=values,
         chosen_h=float(h_grid[best]),
         trim_bounds=bounds,
-        _failed=failed,
+        _failed=_FailedPoints(bad, pool_of, x, reason),
     )

@@ -392,15 +392,13 @@ def cmd_fit(cfg: RunConfig, out_dir: Path) -> None:
     tag = cfg.single_estimator("fit")
     h = _choose_bandwidth(cfg, data, tag, out_dir)
 
-    pseudo = None
     if tag is Estimator.MARGINAL:
         if not isinstance(data, PooledDataset):
             raise UserInputError("the marginal estimator needs pooled input files")
-        pseudo = build_pseudo_data(data)
         _write_csv(out_dir / "pseudo.csv", ("pool_id", "R"),
-                   zip(data.ids, pseudo.r))
+                   zip(data.ids, build_pseudo_data(data).r))
 
-    curve = estimate_curve(tag, data, _fit_config(cfg, h), cfg.grid(), pseudo=pseudo)
+    curve = estimate_curve(tag, data, _fit_config(cfg, h), cfg.grid())
     rows = [
         (x, v, int(bad))
         for x, v, bad in zip(curve.grid, curve.values, curve.failed)

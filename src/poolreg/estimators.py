@@ -55,9 +55,8 @@ members' (X - anchor)/h. Compensated running sums of those coefficients,
 restarted at every segment, give a window as at most five segment pieces,
 each evaluated at its own s by Horner's rule, one step for all polynomials
 of one degree; a fold's rows are built as in the flat pass and subtracted.
-The running bandwidths of a block share one buffer, freed before a flat
-pass. A point goes back to the flat pass when its count of nonzero-weight
-rows is below p + 1 (none for an average window of fewer than c (p + 1 + d)
+A point goes back to the flat pass when its count of nonzero-weight rows
+is below p + 1 (none for an average window of fewer than c (p + 1 + d)
 members, d rows left out), or when a first-order bound on the rounding of
 its A and b leaves its rcond decision open or beta_0 undetermined to 1e-12
 of |beta_0| + max |y|. The bound also counts what a restart leaves of the
@@ -256,10 +255,9 @@ _Rows = namedtuple("_Rows", "x_sorted cov sizes resp product padded key key_rank
 
 
 def _row_table(
-    estimator: Estimator, data: IndividualDataset | PooledDataset, kernel: KernelKind,
-    pseudo: PseudoData | None = None, order: np.ndarray | None = None,
+    estimator: Estimator, data: IndividualDataset | PooledDataset, kernel: KernelKind
 ) -> _Rows:
-    """The rows of the estimator on data; order, when given, sorts the covariates stably."""
+    """The rows of the estimator on data, its covariates sorted stably."""
     if estimator is Estimator.INDIVIDUAL:
         if not isinstance(data, IndividualDataset):
             raise UserInputError("the individual estimator needs unpooled (x, y) data")
@@ -267,14 +265,10 @@ def _row_table(
     elif not isinstance(data, PooledDataset):
         raise UserInputError(f"the {estimator.value} estimator needs pooled data")
     elif estimator is Estimator.MARGINAL:
-        if pseudo is None:
-            pseudo = build_pseudo_data(data)
-        elif pseudo.source is not data:
-            raise UserInputError("the pseudo data were built from another dataset")
-        x, resp = data.x_flat, pseudo.r_flat
+        x, resp = data.x_flat, build_pseudo_data(data).r_flat
     else:
         x, resp = data.x_flat, data.z
-    order = np.argsort(x, kind="stable") if order is None else order
+    order = np.argsort(x, kind="stable")
     n, product = x.size, estimator is Estimator.PRODUCT
     unit, edges = np.arange(n), np.arange(n + 1)
     position = np.empty(n, dtype=np.intp)
@@ -456,16 +450,13 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _running_sums(
-    rows: _Rows, h: float, cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray,
-    work: dict,
+    rows: _Rows, h: float, cfg: FitConfig, points: np.ndarray, L: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """[A | b] at every point from running sums at bandwidth h, and a bound on its rounding error.
 
     Row r weighs the kernel at its key covariate xs[r] over its pool size,
     or for product rows (equal pools, no padding) the product of its
-    members' kernels. An empty window [L, R) of rows gets zero sums. The
-    large arrays live in work["sums"], which calls on the same rows and
-    points share.
+    members' kernels. An empty window [L, R) of rows gets zero sums.
     """
     xs, mates, size, resp = rows.x_sorted[rows.key], rows.cov, rows.sizes, rows.resp
     product = rows.product
@@ -518,9 +509,7 @@ def _running_sums(
     # one buffer: the running sums, then their error terms and scratch, whose
     # space the segment pieces take over
     cells = 2 * F * (n + 1) + 3 * F * max(n + 1, size_p)
-    if work.get("sums") is None or work["sums"].size != cells:
-        work["sums"] = np.empty(cells)
-    run, rest = np.split(work["sums"], [2 * F * (n + 1)])
+    run, rest = np.split(np.empty(cells), [2 * F * (n + 1)])
     run, err = run.reshape(2 * F, n + 1), rest[:F * (n + 1)].reshape(F, n + 1)
     spare = rest[F * (n + 1):3 * F * (n + 1)].reshape(2 * F, n + 1)
     cols = spare[F:, :n]
@@ -656,7 +645,9 @@ def _solve(
         fails = finite & (s_max > e) & ((s_min + e) / (s_max - e) < _RCOND_MIN)
         left_open = ~(passes | fails)
         inv = np.where(passes, 1.0 / lam, np.nan)
-        beta = (V * ((V * b[:, None]).sum(axis=0) * inv)).sum(axis=1)
+        # a subnormal lam has no finite reciprocal; divide by it instead
+        coef = (V * b[:, None]).sum(axis=0)
+        beta = (V * np.where(np.isinf(inv), coef / lam, coef * inv)).sum(axis=1)
         if bounds:
             E, ymax = bounds
             # the first row of A^-1, A being symmetric
@@ -669,9 +660,9 @@ def _solve(
     return beta.T, ~passes, left_open
 
 
-def _local_fits(estimator, data, cfg, points, pseudo=None, drop=None, order=None):
+def _local_fits(estimator, data, cfg, points, drop=None):
     """_batch_fits at the one bandwidth cfg.h: coefficients per point, and which failed."""
-    return next(_batch_fits(estimator, data, cfg, [cfg.h], points, pseudo, drop, order))
+    return next(_batch_fits(estimator, data, cfg, [cfg.h], points, drop))
 
 
 def _batch_fits(
@@ -680,9 +671,7 @@ def _batch_fits(
     cfg: FitConfig,
     hs,
     points: np.ndarray,
-    pseudo: PseudoData | None = None,
     drop: np.ndarray | None = None,
-    order: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per bandwidth in hs, in turn: coefficients at every evaluation point, and which failed.
 
@@ -692,13 +681,12 @@ def _batch_fits(
     estimators, pools for the other two. Those rows stay out of that point's
     normal sums. One row per point gives leave-one-out and
     leave-one-pool-out folds, a pool's member rows give the whole-pool drop.
-    order, when given, is the stable argsort of the covariates, and the
-    points are the covariates.
+    Every call sorts, builds its rows and allocates its scratch afresh.
     """
-    rows = _row_table(estimator, data, cfg.kernel, pseudo, order)
+    rows = _row_table(estimator, data, cfg.kernel)
     # the points in ascending order; a point that is not finite gets an
     # empty window
-    point_order = np.argsort(points, kind="stable") if order is None else order
+    point_order = np.argsort(points, kind="stable")
     x_sorted, grid = rows.x_sorted, points[point_order]
     n, q, eps, size = x_sorted.size, cfg.p + 1, np.finfo(float).eps, points.size
     c, folded = rows.cov.shape[0], 0 if drop is None else drop.shape[1]
@@ -716,7 +704,6 @@ def _batch_fits(
     scale = np.array([h ** np.arange(q) for h in hs]).T
     ymax = np.abs(rows.resp).max()
     per = max(1, _SYSTEMS // max(size, 1))
-    work = {}
     for c0 in range(0, hs.size, per):
         # a block of bandwidths: system k * size + i is sorted point i at
         # the block's k-th bandwidth
@@ -730,8 +717,6 @@ def _batch_fits(
         beta, failed = np.empty((L.size, q)), np.empty(L.size, dtype=bool)
 
         def flat_pass(todo):
-            # the running sums' space goes first: a flat pass needs as much
-            work.clear()
             point, k = todo % size, todo // size
             Ab = _pair_sums(rows, cfg, grid[point], block[k], lo[todo], hi[todo], L[todo],
                             None if drop is None else flat_drop[point])
@@ -748,7 +733,7 @@ def _batch_fits(
         for k in np.flatnonzero(sums):
             h, at = block[k], slice(k * size, (k + 1) * size)
             start = np.minimum(rows.lead_rank[L[at]], hi[at])
-            Ab, E = _running_sums(rows, h, cfg, grid, start, hi[at], work)
+            Ab, E = _running_sums(rows, h, cfg, grid, start, hi[at])
             # rows of nonzero weight; where pools repeat at their members, a
             # window of fewer than c (q + d) members may hold fewer than
             # q + d pools and is refit
@@ -824,19 +809,17 @@ def estimate_curve(
     data: IndividualDataset | PooledDataset,
     cfg: FitConfig,
     grid,
-    pseudo: PseudoData | None = None,
 ) -> CurveEstimate:
     """Fitted values over a grid; points that cannot be fit are flagged.
 
     A failure at one point (singular or overflowed local system) never
     aborts the rest of the curve. Failed entries hold NaN and are marked in
-    the failed mask. pseudo, for the marginal estimator, must have been
-    built from this data object; any other raises UserInputError.
+    the failed mask.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise UserInputError("the evaluation grid must be a nonempty 1-d sequence")
-    beta, failed = _local_fits(estimator, data, cfg, grid, pseudo)
+    beta, failed = _local_fits(estimator, data, cfg, grid)
     return CurveEstimate(
         grid=grid, values=beta[:, 0], failed=failed, estimator=estimator, config=cfg
     )

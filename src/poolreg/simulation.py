@@ -42,7 +42,7 @@ from .estimators import (
     CurveEstimate,
     Estimator,
     FitConfig,
-    build_pseudo_data,
+    build_pseudo_data,  # not called here: benchmarks/tracing.py wraps this name
     estimate_curve,
 )
 from .kernels import KernelKind
@@ -374,8 +374,6 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
         pooled = pool_random(individual, spec.c, rng)
     else:
         pooled = pool_homogeneous(individual, spec.c)
-    pseudo = (build_pseudo_data(pooled)
-              if Estimator.MARGINAL in spec.estimators else None)
     grid_arr = np.asarray(spec.grid, dtype=float)
     n_grid = grid_arr.size
     eval_points = np.concatenate([grid_arr, individual.x])
@@ -396,10 +394,7 @@ def _replicate(spec: SimulationSpec, index: int) -> ReplicationRecord:
                 h = spec.h
             bandwidths[est] = h
             cfg = spec.base_config(h)
-            full = estimate_curve(
-                est, data, cfg, eval_points,
-                pseudo=pseudo if est is Estimator.MARGINAL else None,
-            )
+            full = estimate_curve(est, data, cfg, eval_points)
             curves[est] = CurveEstimate(
                 grid=grid_arr, values=full.values[:n_grid],
                 failed=full.failed[:n_grid], estimator=est, config=cfg,

@@ -327,12 +327,10 @@ def test_c09_cv_sanity(accept):
         data = sample_dgp(dgp, 600, rng)
         pooled = pool_random(data, 2, rng)
         trace = select_bandwidth(pooled, Estimator.MARGINAL, FitConfig(p=1, h=1.0))
-        pseudo = build_pseudo_data(pooled)
         by_h = {}
         for h in trace.h_grid:
             curve = estimate_curve(Estimator.MARGINAL, pooled,
-                                   FitConfig(p=1, h=float(h)), data.x,
-                                   pseudo=pseudo)
+                                   FitConfig(p=1, h=float(h)), data.x)
             try:
                 by_h[float(h)] = ise(curve.values, data.y)
             except IncompleteCurve:

@@ -441,7 +441,7 @@ class TestBatchedScoring:
         # blocks of two candidates, so the narrow ones span several blocks
         monkeypatch.setattr(estimators, "_SYSTEMS", 2 * people.x.size + 1)
         if running:
-            # every candidate on the running sums, sharing one workspace
+            # every candidate on the running sums
             monkeypatch.setattr(estimators, "_RUNNING_MIN", 0)
             monkeypatch.setattr(estimators, "_RUNNING_BASE", -1)
         for tag, criterion in [

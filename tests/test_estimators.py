@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -168,24 +169,6 @@ class TestPseudoData:
         # with equal sizes, c_j R_j averages back to mu_hat
         assert abs(lhs - pseudo.mu_hat) <= 1e-12
         assert abs(float(np.mean(pseudo.r)) - pseudo.mu_hat) <= 1e-12
-
-    def test_curve_rejects_pseudo_data_of_another_dataset(self):
-        rng = np.random.default_rng(5)
-        people = IndividualDataset(x=rng.uniform(-1, 1, 60), y=rng.normal(size=60))
-        full = pool_random(people, 2, rng)
-        off = full.offsets
-        subset = PooledDataset(z=full.z[:10], sizes=full.sizes[:10],
-                               x_flat=full.x_flat[:off[10]], design=full.design)
-        repooled = pool_random(people, 2, rng)
-        cfg, grid = FitConfig(p=1, h=0.5), np.linspace(-0.5, 0.5, 5)
-        for data in (subset, repooled):
-            with pytest.raises(UserInputError, match="another dataset"):
-                estimate_curve(Estimator.MARGINAL, data, cfg, grid, pseudo=build_pseudo_data(full))
-        # the dataset's own pseudo data give the curve built without them
-        own = estimate_curve(Estimator.MARGINAL, subset, cfg, grid,
-                             pseudo=build_pseudo_data(subset))
-        plain = estimate_curve(Estimator.MARGINAL, subset, cfg, grid)
-        np.testing.assert_array_equal(own.values, plain.values)
 
 
 class TestPooledFits:
@@ -357,6 +340,12 @@ class TestPlanarSolve:
         scale = np.abs(want[passes]).max(axis=1) * EPS / rcond[passes]
         err = np.abs(beta[passes] - want[passes]).max(axis=1)
         assert (err <= 8 * q * scale).all()
+
+    def test_subnormal_system(self):
+        # 1 / A overflows: beta is b / A, not b * inf
+        A, b = 2.818906e-318, 3.3586e-319
+        beta, failed, _ = estimators._solve(np.array([[[A], [b]]]), np.ones((1, 1)))
+        assert beta[0, 0] == b / A and not failed[0]
 
     @pytest.mark.parametrize("q", range(1, 7))
     def test_decomposition_within_the_sweep_cap(self, q, monkeypatch):
@@ -691,7 +680,9 @@ def dense_reference(tag, data, cfg, points, drop=None):
     point, whether the rcond decision is certain and whether the solution
     is determined to 1e-12: the normal sums carry rounding of about n * eps
     relative to the largest kept sum, and the solve magnifies it by the
-    condition number 1/rcond.
+    condition number 1/rcond. A row's terms that fall below the normal
+    range keep an absolute error of up to about c_j (1 + |y|) |D|^2 times
+    the smallest subnormal, which the noise adds in full.
     """
     if tag is Estimator.INDIVIDUAL:
         groups, resp = [np.array([v]) for v in data.x], data.y
@@ -700,6 +691,7 @@ def dense_reference(tag, data, cfg, points, drop=None):
     else:
         groups, resp = pool_members(data), data.z
     q = cfg.p + 1
+    tiny, sizes = np.finfo(float).smallest_subnormal, np.array([g.size for g in groups])
     beta = np.full((points.size, q), np.nan)
     failed = np.zeros(points.size, bool)
     certain = np.ones(points.size, bool)
@@ -718,7 +710,8 @@ def dense_reference(tag, data, cfg, points, drop=None):
             failed[i] = True  # empty window
             continue
         rcond = s[-1] / s[0]
-        noise = 8 * (len(groups) + 1) * np.finfo(float).eps * largest / s[0]
+        floor = tiny * np.sum(sizes * (1 + np.abs(resp)) * np.abs(D).max(axis=1) ** 2)
+        noise = 8 * ((len(groups) + 1) * np.finfo(float).eps * largest + floor) / s[0]
         certain[i] = abs(rcond - estimators._RCOND_MIN) > noise
         determined[i] = noise <= 1e-12 * rcond
         if rcond < estimators._RCOND_MIN:
@@ -748,6 +741,11 @@ class TestWindowedEngine:
            fold=st.sampled_from([None, "row", "pool"]))
     # a fold whose dropped pool carries all but 1e-20 of the product weight
     @example(seed=0, n_pools=2, p=0, kernel=KernelKind.GAUSSIAN, h=0.125, fold="row")
+    # product folds whose normal sums are subnormal, 1 / A overflowing
+    @example(seed=367614, n_pools=3, p=0, kernel=KernelKind.GAUSSIAN,
+             h=0.016626527199009745, fold="row")
+    @example(seed=2475439052, n_pools=3, p=0, kernel=KernelKind.GAUSSIAN,
+             h=0.011678418730071218, fold="row")
     def test_matches_dense_reference(self, seed, n_pools, p, kernel, h, fold):
         rng, x, y, sizes, z = random_pools(seed, n_pools)
         units = IndividualDataset(x=x, y=y)
@@ -773,6 +771,27 @@ class TestWindowedEngine:
             )
             checked += ok.sum()
         note(f"points compared: {checked}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pools=st.integers(2, 10), p=st.integers(0, 2),
+           h=st.floats(math.log(0.005), math.log(0.1)).map(math.exp),
+           fold=st.sampled_from([None, "row", "pool"]))
+    @example(seed=367614, n_pools=3, p=0, h=0.016626527199009745, fold="row")
+    @example(seed=2475439052, n_pools=3, p=0, h=0.011678418730071218, fold="row")
+    def test_product_gaussian_at_small_h(self, seed, n_pools, p, h, fold):
+        # products of Gaussian member weights reach the bottom of the float
+        # range: a fit is finite or flagged, never inf or an unflagged NaN
+        _, x, y, sizes, z = random_pools(seed, n_pools)
+        pooled = PooledDataset(z=z, sizes=sizes, x_flat=x, design=Design.EXTERNAL)
+        cfg = FitConfig(p=p, h=h, kernel=KernelKind.GAUSSIAN)
+        drop = folds(Estimator.PRODUCT, pooled, fold)[1] if fold else None
+        beta, failed = _local_fits(Estimator.PRODUCT, pooled, cfg, x, drop=drop)
+        assert np.array_equal(np.isnan(beta).any(axis=1), failed)
+        assert np.isfinite(beta[~failed]).all()
+        want, want_failed, _, determined = dense_reference(Estimator.PRODUCT, pooled, cfg, x, drop)
+        ok = determined & ~want_failed
+        np.testing.assert_array_less(np.abs(beta[ok, 0] - want[ok, 0]),
+                                     1e-12 * (np.abs(want[ok, 0]) + np.abs(y).max()))
 
     @pytest.mark.parametrize("kernel", [KernelKind.EPANECHNIKOV, KernelKind.TRICUBE])
     def test_points_far_apart_match_dense(self, kernel):
