@@ -72,10 +72,12 @@ n = 3000 whatever h, a flat pass about 30 ns per member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
-conditioned for small h. A point fails when its normal sums are not finite
-or when rcond, the ratio of the smallest to the largest singular value of
-the h-scaled normal matrix, is below 1e-12 (_RCOND_MIN, which the theory
-layer applies to its moment matrices too). Failures are
+conditioned for small h. A point fails when its normal sums are not finite,
+when its weights sum below the smallest normal number (where a product of
+Gaussian weights keeps only a few digits), or when rcond, the ratio of the
+smallest to the largest singular value of the h-scaled normal matrix, is
+below 1e-12 (_RCOND_MIN, which the theory layer applies to its moment
+matrices too). Failures are
 reported (NaN and a failure flag over a grid, SingularLocalSystem from the
 single-point fit_* functions), never papered over with regularization.
 Cyclic Jacobi rotations decompose every normal matrix of a call at once,
@@ -224,8 +226,9 @@ def build_pseudo_data(data: PooledDataset) -> PseudoData:
     return PseudoData(mu_hat=mu_hat, r=r, source=data)
 
 
-# a local system fails below this rcond; see the module docstring
-_RCOND_MIN = 1e-12
+# a local system fails below this rcond, or when its weights sum below
+# the smallest normal number; see the module docstring
+_RCOND_MIN, _NORMAL_MIN = 1e-12, np.finfo(float).tiny
 
 # when a call takes the running sums; see the module docstring
 _RUNNING_MIN, _RUNNING_BASE = 28, 43000
@@ -720,6 +723,8 @@ def _batch_fits(
             point, k = todo % size, todo // size
             Ab = _pair_sums(rows, cfg, grid[point], block[k], lo[todo], hi[todo], L[todo],
                             None if drop is None else flat_drop[point])
+            # weights summing below the normal range keep too few digits
+            Ab[..., Ab[0, 0] < _NORMAL_MIN] = np.nan
             beta[todo], failed[todo] = _solve(Ab, scale[:, c0 + k])[:2]
 
         # flat member rows per bandwidth: c per group of rows a window touches
@@ -767,7 +772,7 @@ def _fit_point(
     beta, failed = _local_fits(estimator, data, cfg, np.array([x], dtype=float))
     if failed[0]:
         raise SingularLocalSystem(
-            f"local system at x={x:g} is empty, overflowed or singular "
+            f"local system at x={x:g} is empty, underflowed, overflowed or singular "
             f"to tolerance {_RCOND_MIN:g}"
         )
     return LocalFit(x=x, beta=beta[0])
