@@ -13,8 +13,8 @@ the same functionality as CSV-emitting subcommands.
 ``import poolreg`` loads neither numpy nor any submodule. The seven
 library modules are imported, and their public names bound here, on the
 first public name, ``__all__`` or ``dir()`` asked for (PEP 562); a
-submodule name imports that module alone. So ``poolreg.cli`` can pin the
-BLAS thread count before numpy loads.
+submodule name, ``cli`` included, imports that module alone. So
+``poolreg.cli`` can pin the BLAS thread count before numpy loads.
 """
 
 from importlib import import_module as _import_module
@@ -37,7 +37,7 @@ def _public_names() -> list:
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _MODULES or name == "cli":
         return _import_module(f"{__name__}.{name}")
     if name == "__all__":
         return _public_names()

@@ -80,7 +80,6 @@ from .simulation import (
     select_quartile_realizations,
     theory_context,
 )
-from . import theory
 
 __all__ = [
     "RunConfig",
@@ -416,6 +415,8 @@ def cmd_bandwidth(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _theory_summary(cfg: RunConfig, ctx, est: Estimator, x: float, sizes: np.ndarray | None):
+    # loaded here, so that only the theory command loads the theory layer
+    from . import theory
     if cfg.design == "homogeneous" and est in (Estimator.AVERAGE, Estimator.PRODUCT):
         return theory.homogeneous_summary(
             ctx, est, x, cfg.p, cfg.h, cfg.n, cfg.c, cfg.kernel
@@ -446,6 +447,8 @@ def cmd_theory(cfg: RunConfig, out_dir: Path) -> None:
         raise UserInputError("theory needs a numeric 'h'; cross-validation "
                              "applies to data fits only")
     _fit_config(cfg, cfg.h)  # rejects p < 0 and h <= 0 as fits do
+    if cfg.c < 1:
+        raise UserInputError(f"key 'c': pool size must be at least 1, got {cfg.c}")
     if cfg.n < cfg.c:
         raise UserInputError(f"n = {cfg.n} cannot hold even one pool of size {cfg.c}")
     ctx = theory_context(get_dgp(cfg.dgp))

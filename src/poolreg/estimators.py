@@ -30,18 +30,18 @@ The sums only visit rows inside the kernel window. One row table per call
 summation paths: a row at every sorted member holding its pool (unit and
 average rows), or each pool at its last member (product rows). The engine
 takes a batch of bandwidths and solves one local system per bandwidth and
-point, in blocks of whole bandwidths of at most 2048 systems (one
-bandwidth when it has more points); each system carries its own h, so its
-arithmetic is that of a call with that h alone. A block finds each
-system's window [L, R), the sorted members of nonzero weight, by one
-binary search, and the table's gate keeps the records in it, each pool
-with a member in it once for average weights, and the pools with every
-member in it for product weights. One flat pass per block over the
-(system, row) pairs, in chunks of 8192, builds the rows and forms each
-entry of [A | b] as a segment sum per system, so its summation order is
-fixed by the data alone: time of order the pairs, memory of order the
-chunk. The Gaussian kernel has no window: it pairs every point with every
-row.
+point, in blocks of whole bandwidths of at most 2048 systems (one bandwidth
+when it has more points); each system carries its own h, so its arithmetic
+is that of a call with that h alone. A block finds each system's window
+[L, R), the sorted members of nonzero weight, by one binary search, and the
+table's gate keeps the records in it, each pool with a member in it once for
+average weights, and the pools with every member in it for product weights.
+One flat pass per block, over the (system, row) pairs of its flat bandwidths
+and of the points that the running sums leave open (below), in chunks of
+8192, builds the rows and forms each entry of [A | b] as a segment sum per
+system, so its summation order is fixed by the data alone: time of order the
+pairs, memory of order the chunk. The Gaussian kernel has no window: it
+pairs every point with every row.
 
 Wide windows of the kernels const (1 - t^2)^m (Epanechnikov, quartic,
 triweight) use running sums instead, where the table says they apply: unit
@@ -49,26 +49,27 @@ and average rows, and product rows of pools of c consecutive sorted members
 (homogeneous pooling) with 2mc <= 8. The sorted rows are cut into segments
 of width h/2 anchored at their centres. With s = (anchor - x)/h, a row adds
 to each entry of A and b a polynomial in s: its weight (1 - (s + u)^2)^m /
-c_j, or the product of (1 - (s + v)^2)^m over its members for a product
-row, times the pool means of (s + v)^ell, u and v being its own and its
-members' (X - anchor)/h. Compensated running sums of those coefficients,
-restarted at every segment, give a window as at most five segment pieces,
-each evaluated at its own s by Horner's rule, one step for all polynomials
-of one degree; a fold's rows are built as in the flat pass and subtracted.
-A point goes back to the flat pass when its count of nonzero-weight rows
-is below p + 1 (none for an average window of fewer than c (p + 1 + d)
-members, d rows left out), or when a first-order bound on the rounding of
-its A and b leaves its rcond decision open or beta_0 undetermined to 1e-12
-of |beta_0| + max |y|. The bound also counts what a restart leaves of the
-absolute sum before the segment, about eps per segment row of it: a row
-with a member far from its mates carries terms up to |v|^2p, and the
-points after it go back to the flat pass instead of taking its rounding.
-A bandwidth takes the running sums when its flat pass would build more
-than 28 member rows per row and point plus 43,000 (a pool row of largest
-size c counting c, the gate keeping one row of a pool of c consecutive
-members). That line lies near where CV passes timed on both paths cross
-(CHANGES.md): a running pass costs about 2-3 ms at n = 600 and 5-7 ms at
-n = 3000 whatever h, a flat pass about 30 ns per member row.
+c_j, or the product of (1 - (s + v)^2)^m over its members for a product row,
+times the pool means of (s + v)^ell, u and v being its own and its members'
+(X - anchor)/h. Compensated running sums of those coefficients, restarted at
+every segment, give a window as at most five segment pieces, each evaluated
+at its own s by Horner's rule, one step for all polynomials of one degree.
+A block's running bandwidths go first, a running pass each, then one
+flat-pass call for all their fold rows, which are subtracted, and one
+bounded solve. A point goes back to the flat pass when its count of
+nonzero-weight rows is below p + 1 (none for an average window of fewer
+than c (p + 1 + d) members, d rows left out), or when a first-order bound on
+the rounding of its A and b leaves its rcond decision open or beta_0
+undetermined to 1e-12 of |beta_0| + max |y|. The bound also counts what a
+restart leaves of the absolute sum before the segment, about eps per segment
+row of it: a row with a member far from its mates carries terms up to
+|v|^2p, and the points after it go back to the flat pass instead of taking
+its rounding. A bandwidth takes the running sums when its flat pass would
+build more than 28 member rows per row and point plus 43,000 (a pool row of
+largest size c counting c, the gate keeping one row of a pool of c
+consecutive members). That line lies near where CV passes timed on both
+paths cross (CHANGES.md): a running pass costs about 2-3 ms at n = 600 and
+5-7 ms at n = 3000 whatever h, a flat pass about 30 ns per member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -700,7 +701,7 @@ def _batch_fits(
         # sums one place per dropped row
         flat_drop = np.where(drop[point_order, :, None] >= 0, rows.place[drop[point_order]], -1
                              ).reshape(size, folded * rows.place.shape[1])
-        left_out = np.where(drop >= 0, rows.place[drop, -1], -1)[point_order].ravel()
+        left_out = np.where(drop >= 0, rows.place[drop, -1], -1)[point_order]
 
     hs = np.asarray(hs, dtype=float)
     # h ** ell one h at a time, as a one-h call rounds it (an array power may not)
@@ -718,47 +719,43 @@ def _batch_fits(
         L[empty] = R[empty] = 0
         lo, hi = rows.key_rank[L], rows.key_rank[R]
         beta, failed = np.empty((L.size, q)), np.empty(L.size, dtype=bool)
-
-        def flat_pass(todo):
+        # flat member rows per bandwidth: c per group of rows a window touches
+        touched = np.where(hi > lo, rows.group[hi - 1] - np.take(rows.group, lo, mode="clip") + 1,
+                           0).reshape(block.size, size).sum(axis=1)
+        sums = rows.running & (touched * c > _RUNNING_MIN * (n + size) + _RUNNING_BASE)
+        # the systems of the running bandwidths, and of the flat ones
+        run, todo = np.flatnonzero(np.repeat(sums, size)), np.flatnonzero(~np.repeat(sums, size))
+        if run.size:
+            point, k, stop = run % size, run // size, hi[run]
+            start = np.minimum(rows.lead_rank[L[run]], stop)
+            Ab, E = np.concatenate([_running_sums(rows, h, cfg, grid, a, b) for h, a, b in zip(
+                block[sums], start.reshape(-1, size), stop.reshape(-1, size))], axis=-1)
+            # rows of nonzero weight; where pools repeat at their members, a
+            # window of fewer than c (q + d) members may hold fewer than
+            # q + d pools and is refit
+            count = stop - start
+            count[R[run] - L[run] < rows.repeats * (q + folded)] = 0
+            if drop is not None:
+                # the fold's rows of every running system, one pair each, subtracted
+                out = left_out[point].ravel()
+                fold = _pair_sums(rows, cfg, np.repeat(grid[point], folded),
+                                  np.repeat(block[k], folded), out, out + (out >= 0)
+                                  ).reshape(q, q + 1, run.size, folded)
+                count -= (fold[0, 0] > 0).sum(axis=-1)
+                fold = fold.sum(axis=-1)
+                Ab -= fold
+                E += 2.0 * eps * np.abs(fold)
+            beta[run], failed[run], redo = _solve(Ab, scale[:, c0 + k], (E, ymax))
+            del Ab, E
+            # the points the running sums left open join the flat pass
+            todo = np.r_[todo, run[redo | (count < q)]]
+        if todo.size:
             point, k = todo % size, todo // size
             Ab = _pair_sums(rows, cfg, grid[point], block[k], lo[todo], hi[todo], L[todo],
                             None if drop is None else flat_drop[point])
             # weights summing below the normal range keep too few digits
             Ab[..., Ab[0, 0] < _NORMAL_MIN] = np.nan
             beta[todo], failed[todo] = _solve(Ab, scale[:, c0 + k])[:2]
-
-        # flat member rows per bandwidth: c per group of rows a window touches
-        touched = np.where(hi > lo, rows.group[hi - 1] - np.take(rows.group, lo, mode="clip") + 1,
-                           0).reshape(block.size, size).sum(axis=1)
-        sums = rows.running & (touched * c > _RUNNING_MIN * (n + size) + _RUNNING_BASE)
-        if not sums.all():
-            # the block's flat bandwidths
-            flat_pass(np.flatnonzero(~np.repeat(sums, size)))
-        todo = []
-        for k in np.flatnonzero(sums):
-            h, at = block[k], slice(k * size, (k + 1) * size)
-            start = np.minimum(rows.lead_rank[L[at]], hi[at])
-            Ab, E = _running_sums(rows, h, cfg, grid, start, hi[at])
-            # rows of nonzero weight; where pools repeat at their members, a
-            # window of fewer than c (q + d) members may hold fewer than
-            # q + d pools and is refit
-            count = hi[at] - start
-            count[R[at] - L[at] < rows.repeats * (q + folded)] = 0
-            if drop is not None:
-                # the fold's rows, one pair each, subtracted
-                fold = _pair_sums(rows, cfg, np.repeat(grid, folded), np.full(left_out.size, h),
-                                  left_out, left_out + (left_out >= 0)
-                                  ).reshape(q, q + 1, size, -1)
-                count -= (fold[0, 0] > 0).sum(axis=-1)
-                fold = fold.sum(axis=-1)
-                Ab -= fold
-                E += 2.0 * eps * np.abs(fold)
-            beta[at], failed[at], redo = _solve(Ab, scale[:, c0 + k, None], (E, ymax))
-            del Ab, E
-            todo.append(at.start + np.flatnonzero(redo | (count < q)))
-        if todo:
-            # the points the running sums left open, in one flat pass
-            flat_pass(np.concatenate(todo))
         for beta_k, failed_k in zip(beta.reshape(block.size, size, q),
                                     failed.reshape(block.size, size)):
             b, f = np.empty_like(beta_k), np.empty_like(failed_k)

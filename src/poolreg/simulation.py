@@ -46,7 +46,6 @@ from .estimators import (
     estimate_curve,
 )
 from .kernels import KernelKind
-from .theory import TheoryContext
 
 __all__ = [
     "Dgp",
@@ -275,6 +274,8 @@ def sample_dgp(dgp: Dgp, n: int, rng: np.random.Generator) -> IndividualDataset:
 
 def theory_context(dgp: Dgp) -> TheoryContext:
     """Bridge a generator to the asymptotic formulas, closed forms throughout."""
+    # loaded here, so that only theory summaries load the theory layer
+    from .theory import TheoryContext
     return TheoryContext(
         mean=dgp.mean,
         density=dgp.density,

@@ -569,18 +569,19 @@ def eigvalsh_solve(Ab, scale, bounds=None):
     return beta, ~passes, left_open
 
 
+@pytest.fixture(scope="class", params=["d2-600", "fit-large"])
+def study(request):
+    if request.param == "d2-600":
+        rng = np.random.default_rng(11)
+        people = sample_dgp(get_dgp("d2"), 600, rng)
+        return people, pool_homogeneous(people, 2)
+    rng = np.random.default_rng(3)
+    people = sample_dgp(get_dgp("d1"), 3000, rng)
+    return people, pool_random(people, 3, rng)
+
+
 class TestRunningSumParity:
     """CV through the running sums matches CV on the flat pass alone."""
-
-    @pytest.fixture(scope="class", params=["d2-600", "fit-large"])
-    def study(self, request):
-        if request.param == "d2-600":
-            rng = np.random.default_rng(11)
-            people = sample_dgp(get_dgp("d2"), 600, rng)
-            return people, pool_homogeneous(people, 2)
-        rng = np.random.default_rng(3)
-        people = sample_dgp(get_dgp("d1"), 3000, rng)
-        return people, pool_random(people, 3, rng)
 
     # product weights take the running sums on pools that do not overlap in
     # sorted order, the homogeneous pools of d2-600
@@ -630,6 +631,40 @@ class TestRunningSumParity:
             assert got.failures == want.failures, (tag, criterion)
             np.testing.assert_array_equal(np.isnan(got.criterion), np.isnan(want.criterion))
             np.testing.assert_allclose(got.criterion, want.criterion, rtol=1e-6)
+
+
+class TestOnePassOfEachKind:
+    """Per block of bandwidths, one fold call and one bounded solve serve the running
+    bandwidths, then one flat pass and one solve the rest; none runs on zero systems."""
+
+    @pytest.mark.parametrize("study, tag, criterion", [
+        ("fit-large", Estimator.AVERAGE, "pool"), ("fit-large", Estimator.MARGINAL, "pseudo"),
+        ("fit-large", Estimator.MARGINAL, "pool"), ("d2-600", Estimator.INDIVIDUAL, "pool"),
+        ("d2-600", Estimator.AVERAGE, "pool"), ("d2-600", Estimator.PRODUCT, "pool"),
+    ], indirect=["study"])
+    def test_no_pass_on_zero_systems(self, study, monkeypatch, tag, criterion):
+        people, pooled = study
+        data = people if tag is Estimator.INDIVIDUAL else pooled
+        calls = []
+
+        def spy(name, real, systems):
+            def counted(*args, **kwargs):
+                calls.append((name, systems(*args)))
+                return real(*args, **kwargs)
+            return counted
+
+        # one window search per block of bandwidths
+        for name, systems in [("_window_bounds", lambda xs, points, h: points.size),
+                              ("_pair_sums", lambda rows, cfg, grid, *rest: grid.size),
+                              ("_solve", lambda Ab, *rest: Ab.shape[-1])]:
+            monkeypatch.setattr(estimators, name, spy(name, getattr(estimators, name), systems))
+        select_bandwidth(data, tag, FitConfig(p=1, h=1.0), criterion=criterion)
+        blocks = sum(name == "_window_bounds" for name, _ in calls)
+        assert blocks > 1
+        for kind in ("_pair_sums", "_solve"):
+            sizes = [systems for name, systems in calls if name == kind]
+            assert min(sizes) >= 1, kind
+            assert len(sizes) <= 2 * blocks, kind
 
 
 class TestMemory:

@@ -90,7 +90,10 @@ def test_import_loads_no_scipy(tmp_path):
         cfg = write_cfg(tmp_path, body + "n = 600\nh = 0.25\ngrid_count = 5\n",
                         name=f"{name}.cfg")
         runs.append(["theory", "--config", cfg, "--out", str(tmp_path / name)])
-    assert under(loaded_modules(code="import poolreg\nfrom poolreg import cli"), "scipy") == []
+    imported = loaded_modules(code="import poolreg\nfrom poolreg import cli")
+    assert under(imported, "scipy") == []
+    # only the theory command loads the theory layer
+    assert under(imported, "poolreg.theory") == []
     after_runs = loaded_modules(*runs)
     assert under(after_runs, "scipy") == []
     # no worker processes, so no process pool either
@@ -111,6 +114,8 @@ def test_cv_fit_loads_no_numpy_ma(tmp_path):
     argv = ["fit", "--config", cfg, "--out", str(tmp_path / "fit"), "--jobs", "1"]
     modules = loaded_modules(argv)
     assert under(modules, "numpy.ma") == []
+    # nor does a fit load the theory layer
+    assert under(modules, "poolreg.theory") == []
     # a serial CV imports no process pool
     assert under(modules, "concurrent.futures", "multiprocessing") == []
     assert (tmp_path / "fit" / "cv_trace.csv").exists()
@@ -612,6 +617,17 @@ class TestTheory:
         proc = run_cli("theory", "--config", cfg, "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "theory.csv").exists()
+
+    def test_pool_size_zero_exits_2_naming_the_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, (
+            "dgp = d2\nn = 600\nc = 0\nh = 0.25\ndesign = random\nestimators = average\n"
+        ))
+        out = tmp_path / "x"
+        proc = run_cli("theory", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "key 'c': pool size must be at least 1, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "theory.csv").exists()
 
