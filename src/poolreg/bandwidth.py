@@ -259,16 +259,19 @@ def select_bandwidth(
     reason = ("leave-one-pseudo-point-out fit singular" if kind == "pseudo"
               else "leave-pool-out fit singular at a member covariate")
 
-    # per candidate its criterion, or NaN, and the needed points whose fold failed
+    # per candidate its criterion, or NaN, and the needed points whose fold
+    # failed; only the needed points are fitted
+    at, fitted = np.flatnonzero(needed), np.zeros(x.size)
     values, bad = np.full(h_grid.size, np.nan), []
-    for k, (beta, failed) in enumerate(_batch_fits(tag, data, base_cfg, h_grid, x, drop)):
-        bad.append(np.flatnonzero(failed & needed))
+    for k, (beta, failed) in enumerate(_batch_fits(tag, data, base_cfg, h_grid, x[at], drop[at])):
+        bad.append(at[failed])
         if bad[k].size:
             continue
+        fitted[at] = beta[:, 0]
         if target is None:
-            values[k] = _pool_rss(data, beta[:, 0], needed)
+            values[k] = _pool_rss(data, fitted, needed)
         else:
-            resid = np.where(needed, target - beta[:, 0], 0.0)
+            resid = np.where(needed, target - fitted, 0.0)
             values[k] = float(np.sum(resid * resid))
 
     finite = np.isfinite(values)

@@ -51,25 +51,29 @@ of width h/2 anchored at their centres. With s = (anchor - x)/h, a row adds
 to each entry of A and b a polynomial in s: its weight (1 - (s + u)^2)^m /
 c_j, or the product of (1 - (s + v)^2)^m over its members for a product row,
 times the pool means of (s + v)^ell, u and v being its own and its members'
-(X - anchor)/h. Compensated running sums of those coefficients, restarted at
-every segment, give a window as at most five segment pieces, each evaluated
-at its own s by Horner's rule, one step for all polynomials of one degree.
-A block's running bandwidths go first, a running pass each, then one
-flat-pass call for all their fold rows, which are subtracted, and one
+(X - anchor)/h. A pass walks blocks of whole segments of up to 4096 rows
+(_BLOCK), laid out in slabs: the segments of one half octave of row counts
+side by side, each padded with rows of weight zero to the longest. Running
+sums of the coefficients, compensated by TwoSum (Ogita, Rump & Oishi, SIAM
+J. Sci. Comput. 26, 2005), start at each segment's own first row, so a
+window is at most five segment pieces, each evaluated at its own s by
+Horner's rule, one step for all polynomials of one degree.
+A bandwidth block's running bandwidths go first, a running pass each, then
+one flat-pass call for all their fold rows, which are subtracted, and one
 bounded solve. A point goes back to the flat pass when its count of
 nonzero-weight rows is below p + 1 (none for an average window of fewer
 than c (p + 1 + d) members, d rows left out), or when a first-order bound on
 the rounding of its A and b leaves its rcond decision open or beta_0
-undetermined to 1e-12 of |beta_0| + max |y|. The bound also counts what a
-restart leaves of the absolute sum before the segment, about eps per segment
-row of it: a row with a member far from its mates carries terms up to
-|v|^2p, and the points after it go back to the flat pass instead of taking
-its rounding. A bandwidth takes the running sums when its flat pass would
-build more than 28 member rows per row and point plus 43,000 (a pool row of
-largest size c counting c, the gate keeping one row of a pool of c
-consecutive members). That line lies near where CV passes timed on both
-paths cross (CHANGES.md): a running pass costs about 2-3 ms at n = 600 and
-5-7 ms at n = 3000 whatever h, a flat pass about 30 ns per member row.
+undetermined to 1e-12 of |beta_0| + max |y|. A piece's bound takes the
+absolute terms from its segment's first row to its last, so the terms of a
+row with a member far from its mates, up to |v|^2p, reach only the pieces
+that sum past it in its segment. A bandwidth takes the running sums when its
+flat pass would build more than 28 member rows per row and point plus
+43,000 (a pool row of largest size c counting c, the gate keeping one row of
+a pool of c consecutive members). That line lies near where CV passes timed
+on both paths cross (CHANGES.md): a running pass costs about 1.1-1.5 ms at
+n = 600 and 2.6-4 ms at n = 3000 whatever h, a flat pass about 30 ns per
+member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -241,6 +245,9 @@ _PAIRS = 1 << 13
 # local systems per block of a batch of bandwidths; the block arrays stay
 # small next to a flat pass's chunks (see CHANGES.md)
 _SYSTEMS = 1 << 11
+
+# rows per block of whole segments, and points per chunk of pieces, of a running pass
+_BLOCK = 1 << 12
 
 # cap on the Jacobi sweeps of one solve; q <= 6 settles in far fewer
 _SWEEPS = 30
@@ -460,10 +467,11 @@ def _running_sums(
 
     Row r weighs the kernel at its key covariate xs[r] over its pool size,
     or for product rows (equal pools, no padding) the product of its
-    members' kernels. An empty window [L, R) of rows gets zero sums.
+    members' kernels. The points ascend, and so does L over the nonempty
+    windows [L, R) of rows; an empty window gets zero sums. Blocks, slabs
+    and pieces are those of the module docstring.
     """
-    xs, mates, size, resp = rows.x_sorted[rows.key], rows.cov, rows.sizes, rows.resp
-    product = rows.product
+    xs, product = rows.x_sorted[rows.key], rows.product
     const, _, m = _COMPACT_FAMILY[cfg.kernel]
     q, n, size_p = cfg.p + 1, xs.size, points.size
     seg = np.floor((xs - xs[0]) / (0.5 * h))
@@ -472,15 +480,13 @@ def _running_sums(
     end = np.r_[start[1:], n]
     gid = np.cumsum(new) - 1
     anchor = xs[0] + (seg[start] + 0.5) * (0.5 * h)
-    u = (xs - anchor[gid]) / h
-    v = np.nan_to_num((mates - anchor[gid]) / h)
-    # a pool wider than 3h is in no window; its product row is zero, which
-    # keeps its large terms out of the running sums
-    c, reach = (mates.shape[0], v.min(axis=0) >= u - 3.0) if product else (1, None)
+    c = rows.cov.shape[0] if product else 1
     # first-order rounding per absolute term: u, v and s, the row
-    # polynomials and pool means, the running sums, the pieces and Horner
+    # polynomials and pool means, the running sums, the pieces and Horner.
+    # A compensated sum over m rows adds (m eps)^2 per absolute term, below
+    # eps while a segment holds fewer than 1 / sqrt(eps), 6.7e7, rows
     eps = np.finfo(float).eps
-    kappa = (16 * (m * c + q) + 2 * v.shape[0] + 8) * eps
+    kappa = (16 * (m * c + q) + 2 * rows.cov.shape[0] + 8) * eps
     pairs = [(i, j) for i in range(q) for j in range(i, q + 1)]
     # the polynomials grouped by degree, each group held coefficient-major
     # (row r * G + g holds s^r of its g-th polynomial), so that one Horner
@@ -494,79 +500,118 @@ def _running_sums(
             slot[k] = F + g + len(group) * np.arange(degree[k] + 1)
         F += (degree[group[0]] + 1) * len(group)
 
-    def row_polys(u, v, resp, sign, out):
+    def row_polys(k, u, v, resp, size, sign, out):
         # each row's terms of [A | b] as polynomials in s, b taking D_q =
         # resp; sign = 1 with |u|, |v|, |resp| sums their absolute values.
-        # The weight has a factor (1 - (s + v)^2)^m per member if product
-        k = (reach if product else 1.0 / size)[None]
+        # The weight k has a factor (1 - (s + v)^2)^m per member if product
         for a in (v if product else [u]):
             for _ in range(m):
-                k = _poly_mul(k, np.stack([1.0 + sign * a * a, 2.0 * sign * a, np.full(n, sign)]))
-        nu = [np.ones(n)] + [(v**ell).sum(axis=0) / size for ell in range(1, q)]
+                k = _poly_mul(k, np.stack([1.0 + sign * a * a, 2.0 * sign * a,
+                                           np.full(a.size, sign)]))
+        nu = [np.ones(u.size)] + [(v**ell).sum(axis=0) / size for ell in range(1, q)]
         D = [np.stack([math.comb(ell, g) * nu[ell - g] for g in range(ell + 1)])
              for ell in range(q)] + [resp[None]]
         kD = [_poly_mul(k, d) for d in D[:q]]
         for k, (i, j) in enumerate(pairs):
             out[slot[k]] = _poly_mul(kD[i], D[j])
-        return out
 
-    # one buffer: the running sums, then their error terms and scratch, whose
-    # space the segment pieces take over
-    cells = 2 * F * (n + 1) + 3 * F * max(n + 1, size_p)
-    run, rest = np.split(np.empty(cells), [2 * F * (n + 1)])
-    run, err = run.reshape(2 * F, n + 1), rest[:F * (n + 1)].reshape(F, n + 1)
-    spare = rest[F * (n + 1):3 * F * (n + 1)].reshape(2 * F, n + 1)
-    cols = spare[F:, :n]
-    # compensated running sums, restarted at every segment; column n is zero
-    np.cumsum(row_polys(u, v, resp, -1.0, cols), axis=1, out=run[:F, :n])
-    np.cumsum(row_polys(np.abs(u), np.abs(v), np.abs(resp), 1.0, spare[:F, :n]), axis=1,
-              out=run[F:, :n])
-    run[:, n] = err[:, 0] = err[:, n] = 0.0
-    signed, fix = run[:F], err[:, 1:n]
-    step = np.subtract(signed[:, 1:n], signed[:, :n - 1], out=spare[:F, 1:n])
-    np.subtract(signed[:, :n - 1], np.subtract(signed[:, 1:n], step, out=fix), out=fix)
-    fix += np.subtract(cols[:, 1:], step, out=step)
-    np.cumsum(err[:, :n], axis=1, out=err[:, :n])
-    # per segment the column before its first row, and column n (zero),
-    # which restarts at itself
-    before, at = np.r_[np.where(start > 0, start - 1, n), n], np.r_[gid, start.size]
-    prefix, lag = run[:, before], err[:, before]
-    # restarted after an absolute prefix P, a segment's sums over up to its
-    # m rows are off by about m eps P (absolute, uncompensated) and
-    # m eps (|lag| + m eps P) (signed). Lowering the subtracted absolute
-    # prefix by the first plus the second over kappa widens the bound to
-    # cover both, so that rows far from their mates leave later points open
-    rows = np.r_[end - start, 0]
-    prefix[F:] -= eps * ((rows + 2) * prefix[F:]
-                         + rows * (np.abs(lag) + eps * (rows + 3) * prefix[F:]) / kappa)
-    run -= np.take(prefix, at, axis=1, out=spare[:, :n + 1], mode="clip")
-    signed += np.subtract(err, np.take(lag, at, axis=1, out=spare[:F, :n + 1], mode="clip"),
-                          out=spare[:F, :n + 1])
+    def scan(terms, out, slabs):
+        # running sums within every slot, a slab of slots of width w at a time
+        for cols, w in slabs:
+            np.cumsum(terms[:, cols].reshape(len(out), -1, w), axis=2,
+                      out=out[:, cols].reshape(len(out), -1, w))
+
     sums = np.zeros((2 * len(pairs), size_p))
-    piece = rest[:2 * F * size_p].reshape(2 * F, size_p)
-    low = rest[2 * F * size_p:3 * F * size_p].reshape(F, size_p)
-    g_lo, g_hi = gid[np.minimum(L, n - 1)], np.where(R > L, gid[R - 1], -1)
-    for j in range(int((g_hi - g_lo).max(initial=0)) + 1):
-        # the window's piece in its j-th segment; the absolute terms up to
-        # the piece's last row, at |s|, bound the rounding of its sums
-        g = np.minimum(g_lo + j, start.size - 1)
-        used = g_lo + j <= g_hi
-        lo = np.where(used & (L > start[g]), L - 1, n)
-        hi = np.where(used, np.minimum(R, end[g]) - 1, n)
-        np.take(run, hi, axis=1, out=piece, mode="clip")
-        piece[:F] -= np.take(run[:F], lo, axis=1, out=low, mode="clip")
-        s = (anchor[g] - points) / h
-        row = first = 0
-        for at in (s, np.abs(s)):
-            for group in groups:  # Horner's rule
-                d, G = degree[group[0]], len(group)
-                coef = piece[row:row + (d + 1) * G].reshape(d + 1, G, size_p)
-                value = coef[d]
-                for r in range(d - 1, -1, -1):
-                    value *= at
-                    value += coef[r]
-                sums[first:first + G] += value
-                row, first = row + (d + 1) * G, first + G
+    # each window's first and last segment, g_lo made to ascend over the
+    # empty windows too
+    g_lo = np.maximum.accumulate(gid[np.minimum(L, n - 1)])
+    g_hi = np.where(R > L, gid[R - 1], -1)
+    pieces = int((g_hi - g_lo).max(initial=0)) + 1
+    def add_block(b0, b1):
+        """Add to sums every window piece in the segments b0 .. b1 - 1."""
+        # the slabs by half octave of rows; segment b0 + i takes the columns
+        # base[i] .. base[i] + width[i] - 1
+        count = end[b0:b1] - start[b0:b1]
+        band = np.floor(2.0 * np.log2(count))
+        order = np.argsort(band, kind="stable")
+        cuts = np.flatnonzero(np.diff(band[order], prepend=-1.0, append=np.inf))
+        slab = np.maximum.reduceat(count[order], cuts[:-1])
+        width = np.repeat(slab, np.diff(cuts))
+        base = np.empty_like(count)
+        base[order] = np.cumsum(width) - width
+        total = int(width.sum())
+        slabs = [(slice(base[order[i]], base[order[i]] + (i1 - i) * w), w)
+                 for i, i1, w in zip(cuts[:-1], cuts[1:], slab)]
+        # per column its segment and row, the padding at weight zero
+        g = b0 + np.repeat(order, width)
+        offset = np.arange(total) - base[g - b0]
+        row_of = start[g] + np.minimum(offset, count[g - b0] - 1)
+        u = (xs[row_of] - anchor[g]) / h
+        v = np.nan_to_num((np.take(rows.cov, row_of, axis=1) - anchor[g]) / h, copy=False)
+        # a pool wider than 3h is in no window; its product row is zero,
+        # which keeps its large terms out of the running sums
+        k = np.where(offset < count[g - b0],
+                     v.min(axis=0) >= u - 3.0 if product else 1.0 / rows.sizes[row_of], 0.0)[None]
+        resp, size = rows.resp[row_of], rows.sizes[row_of]
+        # one buffer per block (separate ones went back to the system after
+        # every pass and faulted in anew): the signed and the absolute running
+        # sums, column total zero, then the terms and scratch, whose space
+        # the pieces of up to _BLOCK points take over
+        cut = 2 * F * (total + 1)
+        buf = np.empty(cut + max(2 * F * total, 3 * F * min(size_p, _BLOCK)))
+        run, spare = buf[:cut].reshape(2 * F, total + 1), buf[cut:]
+        run[:, total] = 0.0
+        signed, (terms, scratch) = run[:F, :total], spare[:2 * F * total].reshape(2, F, total)
+        row_polys(k, np.abs(u), np.abs(v), np.abs(resp), size, 1.0, scratch)
+        scan(scratch, run[F:], slabs)
+        row_polys(k, u, v, resp, size, -1.0, terms)
+        scan(terms, signed, slabs)
+        # the terms turn into the TwoSum rounding of each signed step
+        # s_i = s_(i-1) + x_i, (x_i - d) + (s_(i-1) - (s_i - d)) with
+        # d = s_i - s_(i-1), whose running sums are added back
+        step = np.subtract(signed[:, 1:], signed[:, :-1], out=scratch[:, 1:])
+        terms[:, 1:] -= step
+        terms[:, 1:] += np.subtract(signed[:, :-1], np.subtract(signed[:, 1:], step, out=step),
+                                    out=step)
+        terms[:, base] = 0.0
+        scan(terms, scratch, slabs)
+        signed += scratch
+        shift = base - start[b0:b1]
+        for j in range(pieces):
+            # the points whose window's j-th piece lies in this block
+            begin, stop = np.searchsorted(g_lo, [b0 - j, b1 - j])
+            for a in range(begin, stop, _BLOCK):
+                b = min(a + _BLOCK, stop)
+                g = g_lo[a:b] + j
+                used = g <= g_hi[a:b]
+                # the piece's compensated sums; the absolute terms from its
+                # segment's first row to its last, at |s|, bound their rounding
+                col = shift[g - b0]
+                hi = np.where(used, col + np.minimum(R[a:b], end[g]) - 1, total)
+                piece = spare[:2 * F * (b - a)].reshape(2 * F, b - a)
+                np.take(run, hi, axis=1, out=piece, mode="clip")
+                if j == 0:  # only a window's first piece starts inside its segment
+                    lo = np.where(used & (L[a:b] > start[g]), col + L[a:b] - 1, total)
+                    piece[:F] -= np.take(run[:F], lo, axis=1, mode="clip",
+                                         out=spare[2 * F * (b - a):3 * F * (b - a)].reshape(F, -1))
+                s = (anchor[g] - points[a:b]) / h
+                row = first = 0
+                for at in (s, np.abs(s)):
+                    for group in groups:  # Horner's rule
+                        d, G = degree[group[0]], len(group)
+                        coef = piece[row:row + (d + 1) * G].reshape(d + 1, G, b - a)
+                        value = coef[d]
+                        for r in range(d - 1, -1, -1):
+                            value *= at
+                            value += coef[r]
+                        sums[first:first + G, a:b] += value
+                        row, first = row + (d + 1) * G, first + G
+
+    b0 = 0
+    while b0 < start.size:
+        b1 = max(b0 + 1, int(np.searchsorted(end, start[b0] + _BLOCK, "right")))
+        add_block(b0, b1)
+        b0 = b1
     scale = float(const / h) ** c
     out = np.empty((2, q, q + 1, size_p))
     for k, (i, j) in enumerate(pairs):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1001,6 +1002,7 @@ class TestRunningSums:
 
     @staticmethod
     def agree_with_the_flat_pass(tag, data, cfg, points, ymax):
+        """Running sums against the flat pass; returns the spy of the running pass."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_RUNNING_MIN", np.inf)
             want, want_failed = _local_fits(tag, data, cfg, points)
@@ -1013,20 +1015,77 @@ class TestRunningSums:
         ok = ~want_failed
         np.testing.assert_array_less(np.abs(beta[ok, 0] - want[ok, 0]),
                                      1e-12 * (np.abs(want[ok, 0]) + ymax), err_msg=str(tag))
+        return running
 
     @pytest.mark.parametrize("h", [0.5, 0.3])
-    def test_a_far_pool_member_leaves_later_points_open(self, h):
-        # one member 1e6 away from its mate: its row's terms, about 1e38 at
-        # p = 3, reach every later segment through the restart, and 1311
-        # (h = 0.5) or 1448 (h = 0.3) of these points were off the flat pass
-        # by up to 0.78 before the restart entered the bound
+    @pytest.mark.parametrize("p, far", [(3, 1e6), (1, 1e9)])
+    def test_a_far_pool_member_opens_only_the_windows_of_its_segments(self, h, p, far):
+        # one member far below its mate. At p = 3 and 1e6 away its row's
+        # terms reach 1e38, and 1311 (h = 0.5) or 1448 (h = 0.3) of these
+        # points were off the flat pass by up to 0.78 when a segment's sums
+        # were restarted from sums over all rows before it. Sums that start
+        # at each segment's own first row keep a row's rounding in its
+        # segment: at p = 1 and 1e9 away the bound settles every point
+        # whose window's segments, h/2 wide from the smallest covariate,
+        # hold no row of the far pool, of which the restart left 1194
+        # (h = 0.5) or 1309 (h = 0.3) open
         rng = np.random.default_rng(3)
         x = rng.uniform(-2.0, 2.0, 2000)
         y = np.sin(2.0 * x) + 0.1 * rng.normal(size=x.size)
-        x[np.argmin(x)] = -1e6
+        x[np.argmin(x)] = -far
         pooled = pool_random(IndividualDataset(x=x, y=y), 2, rng)
-        self.agree_with_the_flat_pass(Estimator.AVERAGE, pooled, FitConfig(p=3, h=h),
-                                      np.sort(x[x > -2.0]), np.abs(pooled.z).max())
+        points = np.sort(x[x > -2.0])
+        running = self.agree_with_the_flat_pass(Estimator.AVERAGE, pooled, FitConfig(p=p, h=h),
+                                                points, np.abs(pooled.z).max())
+        if p == 1:
+            xs = np.sort(pooled.x_flat)
+            segment = np.floor((xs - xs[0]) / (0.5 * h))
+            members = pooled.member_table[pooled.member_pool_index[np.argmin(pooled.x_flat)]]
+            far_segments = np.floor((pooled.x_flat[members] - xs[0]) / (0.5 * h))
+            # each window's first and last row, |X - x| < h
+            first = segment[np.searchsorted(xs, points - h, "right")]
+            last = segment[np.searchsorted(xs, points + h) - 1]
+            held = (first[:, None] <= far_segments) & (far_segments <= last[:, None])
+            clear = ~held.any(axis=1)
+            assert clear.sum() > 0.6 * points.size
+            assert running.last[clear].all()
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_small_blocks_sum_the_same_bits(self, monkeypatch, p):
+        # blocks of at most 8 rows, and pieces of at most 8 points at a time,
+        # split what one block holds; each segment's sums and each piece stay
+        rng = np.random.default_rng(p)
+        people = sample_dgp(get_dgp("d1"), 300, rng)
+        cases = [(Estimator.INDIVIDUAL, people), (Estimator.AVERAGE, pool_random(people, 3, rng)),
+                 (Estimator.MARGINAL, pool_random(people, 2, rng)),
+                 (Estimator.PRODUCT, pool_homogeneous(people, 2))]
+        points = np.r_[np.linspace(-2.5, 2.5, 41), np.nan, np.inf, -np.inf]
+        configs = [FitConfig(p=p, h=h) for h in (0.05, 0.4)]
+        running = RunningSums(monkeypatch)
+        want = [_local_fits(tag, data, cfg, points) for tag, data in cases for cfg in configs]
+        monkeypatch.setattr(estimators, "_BLOCK", 8)
+        got = [_local_fits(tag, data, cfg, points) for tag, data in cases for cfg in configs]
+        for (beta, failed), (beta0, failed0) in zip(got, want):
+            assert np.array_equal(failed, failed0)
+            assert np.array_equal(beta, beta0, equal_nan=True)
+        assert running.settled > 0
+
+    def test_a_pass_holds_one_block_of_segments_at_a_time(self):
+        # one pass at n = 50,000 held the running sums of every row, 54 MB;
+        # its [A | b] and bound take 4.8 MB
+        rng = np.random.default_rng(7)
+        pooled = pool_random(sample_dgp(get_dgp("d1"), 50_000, rng), 3, rng)
+        cfg = FitConfig(p=1, h=0.3)
+        rows = estimators._row_table(Estimator.AVERAGE, pooled, cfg.kernel)
+        points = rows.x_sorted
+        L, R = estimators._window_bounds(points, points, np.full(points.size, cfg.h))
+        tracemalloc.start()
+        try:
+            estimators._running_sums(rows, cfg.h, cfg, points, L, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, f"peak {peak / 1e6:.1f} MB"
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 3), c=st.integers(2, 3),

@@ -16,11 +16,17 @@ tree's ``src`` on the path, then compare two records::
     PYTHONPATH=/other/tree/src python tests/trace_set.py --out b.json
     python tests/trace_set.py --compare a.json b.json
 
-``--compare`` names the first trace and field that differ and exits 1, or
-exits 0 when the records are identical.
+``--compare`` goes through every trace field by field. The decisions are
+the chosen h, the criterion's NaN pattern, the count and digest of the
+fold failures, the trim bounds, the curve failure mask and whether CV ran
+at all; the criterion and curve values are drift, reported as the count of
+values that differ and their largest relative difference. It exits 0 when
+the records are identical, 1 when only values drift, and 2 when a decision
+or the trace set differs.
 """
 
 import argparse
+import array
 import hashlib
 import json
 import sys
@@ -85,6 +91,27 @@ def record_all() -> dict:
     return out
 
 
+DECISIONS = ("error", "chosen_h", "trim_bounds", "failures", "curve_failed")
+DRIFT = ("criterion", "curve")
+
+
+def _values(hex_bytes: str) -> array.array:
+    return array.array("d", bytes.fromhex(hex_bytes))
+
+
+def _drift(a: str, b: str) -> tuple[bool, int, float]:
+    """Whether the NaN patterns of two value records differ, how many values differ, and
+    the largest relative difference |a - b| / max(|a|, |b|) among them."""
+    nan_moved, count, largest = False, 0, 0.0
+    for u, v in zip(_values(a), _values(b)):
+        if u != u or v != v:
+            nan_moved |= (u != u) != (v != v)
+        elif u != v:
+            count += 1
+            largest = max(largest, abs(u - v) / max(abs(u), abs(v)))
+    return nan_moved, count, largest
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
@@ -92,14 +119,37 @@ def compare(path_a: str, path_b: str) -> int:
         b = json.load(fh)
     if list(a) != list(b):
         print(f"the two records hold different trace sets ({len(a)} and {len(b)} traces)")
-        return 1
+        return 2
+    decided = []
+    drift = {name: [0, 0, 0.0, None] for name in DRIFT}  # traces, values, largest, where
     for key in a:
-        for field in sorted(set(a[key]) | set(b[key])):
-            if a[key].get(field) != b[key].get(field):
-                print(f"first difference: {key}: {field}")
-                return 1
-    print(f"{len(a)} traces identical")
-    return 0
+        for name in DECISIONS:
+            if a[key].get(name) != b[key].get(name):
+                decided.append(f"{key}: {name}")
+        for name in DRIFT:
+            if name not in a[key] or name not in b[key] or a[key][name] == b[key][name]:
+                continue
+            nan_moved, count, largest = _drift(a[key][name], b[key][name])
+            if nan_moved and name == "criterion":
+                decided.append(f"{key}: criterion NaN pattern")
+            seen = drift[name]
+            seen[0], seen[1] = seen[0] + 1, seen[1] + count
+            if largest > seen[2]:
+                seen[2], seen[3] = largest, key
+    print(f"{len(a)} traces compared")
+    for name, (traces, count, largest, where) in drift.items():
+        if traces:
+            print(f"{name}: {count} values differ in {traces} traces, largest relative "
+                  f"difference {largest:.3g} ({where})")
+        else:
+            print(f"{name}: identical")
+    if decided:
+        print(f"decisions differ in {len(decided)} fields:")
+        for line in decided:
+            print(f"  {line}")
+        return 2
+    print("decisions identical")
+    return 1 if any(traces for traces, *_ in drift.values()) else 0
 
 
 def main(argv=None) -> int:
