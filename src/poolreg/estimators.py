@@ -57,7 +57,7 @@ side by side, each padded with rows of weight zero to the longest. Running
 sums of the coefficients, compensated by TwoSum (Ogita, Rump & Oishi, SIAM
 J. Sci. Comput. 26, 2005), start at each segment's own first row, so a
 window is at most five segment pieces, each evaluated at its own s by
-Horner's rule, one step for all polynomials of one degree.
+Horner's rule, one loop over the powers for every polynomial at once.
 A bandwidth block's running bandwidths go first, a running pass each, then
 one flat-pass call for all their fold rows, which are subtracted, and one
 bounded solve. A point goes back to the flat pass when its count of
@@ -71,9 +71,9 @@ that sum past it in its segment. A bandwidth takes the running sums when its
 flat pass would build more than 28 member rows per row and point plus
 43,000 (a pool row of largest size c counting c, the gate keeping one row of
 a pool of c consecutive members). That line lies near where CV passes timed
-on both paths cross (CHANGES.md): a running pass costs about 1.1-1.5 ms at
-n = 600 and 2.6-4 ms at n = 3000 whatever h, a flat pass about 30 ns per
-member row.
+on both paths cross (CHANGES.md): a running pass costs about 1.2-1.7 ms at
+n = 600 and 2.9-3.7 ms at n = 3000 whatever h, a flat pass about 20-40 ns
+per member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -487,27 +487,22 @@ def _running_sums(
     # eps while a segment holds fewer than 1 / sqrt(eps), 6.7e7, rows
     eps = np.finfo(float).eps
     kappa = (16 * (m * c + q) + 2 * rows.cov.shape[0] + 8) * eps
-    pairs = [(i, j) for i in range(q) for j in range(i, q + 1)]
-    # the polynomials grouped by degree, each group held coefficient-major
-    # (row r * G + g holds s^r of its g-th polynomial), so that one Horner
-    # step serves a whole group; the absolute ones follow the signed ones
-    degree = [2 * m * c + i + (j < q) * j for i, j in pairs]
-    groups = [[k for k in range(len(pairs)) if degree[k] == d] for d in sorted(set(degree))]
-    rank = np.argsort([k for group in groups for k in group])
-    slot, F = [None] * len(pairs), 0
-    for group in groups:
-        for g, k in enumerate(group):
-            slot[k] = F + g + len(group) * np.arange(degree[k] + 1)
-        F += (degree[group[0]] + 1) * len(group)
+    # the polynomials by descending degree, held power-major from the top
+    # power down: the rows of s^r hold the first npoly[r] polynomials, those
+    # of degree >= r, so that one Horner loop serves every degree
+    degree = {(i, j): 2 * m * c + i + (j < q) * j for i in range(q) for j in range(i, q + 1)}
+    pairs = sorted(degree, key=degree.get, reverse=True)
+    npoly = np.array([sum(d >= r for d in degree.values()) for r in range(degree[pairs[0]] + 1)])
+    F = int(npoly.sum())
+    slot = [F - np.cumsum(npoly[:degree[ij] + 1]) + k for k, ij in enumerate(pairs)]
 
     def row_polys(k, u, v, resp, size, sign, out):
         # each row's terms of [A | b] as polynomials in s, b taking D_q =
-        # resp; sign = 1 with |u|, |v|, |resp| sums their absolute values.
+        # resp; a column of sign 1 and |u|, |v|, |resp| sums absolute values.
         # The weight k has a factor (1 - (s + v)^2)^m per member if product
         for a in (v if product else [u]):
             for _ in range(m):
-                k = _poly_mul(k, np.stack([1.0 + sign * a * a, 2.0 * sign * a,
-                                           np.full(a.size, sign)]))
+                k = _poly_mul(k, np.stack([1.0 + sign * a * a, 2.0 * sign * a, sign]))
         nu = [np.ones(u.size)] + [(v**ell).sum(axis=0) / size for ell in range(1, q)]
         D = [np.stack([math.comb(ell, g) * nu[ell - g] for g in range(ell + 1)])
              for ell in range(q)] + [resp[None]]
@@ -518,10 +513,13 @@ def _running_sums(
     def scan(terms, out, slabs):
         # running sums within every slot, a slab of slots of width w at a time
         for cols, w in slabs:
-            np.cumsum(terms[:, cols].reshape(len(out), -1, w), axis=2,
-                      out=out[:, cols].reshape(len(out), -1, w))
+            np.cumsum(terms[..., cols].reshape(*terms.shape[:-1], -1, w), axis=-1,
+                      out=out[..., cols].reshape(*out.shape[:-1], -1, w))
 
-    sums = np.zeros((2 * len(pairs), size_p))
+    def both(a):
+        return np.concatenate([a, np.abs(a)], axis=-1)
+
+    sums = np.zeros((2, len(pairs), size_p))
     # each window's first and last segment, g_lo made to ascend over the
     # empty windows too
     g_lo = np.maximum.accumulate(gid[np.minimum(L, n - 1)])
@@ -555,17 +553,19 @@ def _running_sums(
         resp, size = rows.resp[row_of], rows.sizes[row_of]
         # one buffer per block (separate ones went back to the system after
         # every pass and faulted in anew): the signed and the absolute running
-        # sums, column total zero, then the terms and scratch, whose space
-        # the pieces of up to _BLOCK points take over
+        # sums, column total zero, then the signed and the absolute terms side
+        # by side, whose space the pieces of up to _BLOCK points take over
         cut = 2 * F * (total + 1)
         buf = np.empty(cut + max(2 * F * total, 3 * F * min(size_p, _BLOCK)))
         run, spare = buf[:cut].reshape(2 * F, total + 1), buf[cut:]
         run[:, total] = 0.0
-        signed, (terms, scratch) = run[:F, :total], spare[:2 * F * total].reshape(2, F, total)
-        row_polys(k, np.abs(u), np.abs(v), np.abs(resp), size, 1.0, scratch)
-        scan(scratch, run[F:], slabs)
-        row_polys(k, u, v, resp, size, -1.0, terms)
-        scan(terms, signed, slabs)
+        terms = spare[:2 * F * total].reshape(F, 2 * total)
+        row_polys(np.tile(k, 2), both(u), both(v), both(resp), np.tile(size, 2),
+                  np.repeat([-1.0, 1.0], total), terms)
+        scan(terms.reshape(F, 2, total).transpose(1, 0, 2),
+             run.reshape(2, F, total + 1)[..., :total], slabs)
+        # the absolute terms, summed, turn into scratch
+        signed, terms, scratch = run[:F, :total], terms[:, :total], terms[:, total:]
         # the terms turn into the TwoSum rounding of each signed step
         # s_i = s_(i-1) + x_i, (x_i - d) + (s_(i-1) - (s_i - d)) with
         # d = s_i - s_(i-1), whose running sums are added back
@@ -595,17 +595,14 @@ def _running_sums(
                     piece[:F] -= np.take(run[:F], lo, axis=1, mode="clip",
                                          out=spare[2 * F * (b - a):3 * F * (b - a)].reshape(F, -1))
                 s = (anchor[g] - points[a:b]) / h
-                row = first = 0
-                for at in (s, np.abs(s)):
-                    for group in groups:  # Horner's rule
-                        d, G = degree[group[0]], len(group)
-                        coef = piece[row:row + (d + 1) * G].reshape(d + 1, G, b - a)
-                        value = coef[d]
-                        for r in range(d - 1, -1, -1):
-                            value *= at
-                            value += coef[r]
-                        sums[first:first + G, a:b] += value
-                        row, first = row + (d + 1) * G, first + G
+                at, coef = both(s).reshape(2, 1, b - a), piece.reshape(2, F, b - a)
+                value = np.zeros((2, len(pairs), b - a))
+                row = live = 0
+                for held in npoly[::-1]:  # Horner's rule, from the top power down
+                    value[:, :live] *= at
+                    value[:, :held] += coef[:, row:row + held]
+                    row, live = row + held, held
+                sums[:, :, a:b] += value
 
     b0 = 0
     while b0 < start.size:
@@ -615,7 +612,7 @@ def _running_sums(
     scale = float(const / h) ** c
     out = np.empty((2, q, q + 1, size_p))
     for k, (i, j) in enumerate(pairs):
-        out[:, i, j] = sums[[rank[k], len(pairs) + rank[k]]] * [[scale], [kappa * scale]]
+        out[:, i, j] = sums[:, k] * [[scale], [kappa * scale]]
         if j < q:
             out[:, j, i] = out[:, i, j]
     return out[0], out[1]

@@ -1050,17 +1050,20 @@ class TestRunningSums:
             assert clear.sum() > 0.6 * points.size
             assert running.last[clear].all()
 
-    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("p", [0, 2, 3])
     def test_small_blocks_sum_the_same_bits(self, monkeypatch, p):
         # blocks of at most 8 rows, and pieces of at most 8 points at a time,
-        # split what one block holds; each segment's sums and each piece stay
+        # split what one block holds; each segment's sums and each piece stay.
+        # Quartic product pairs at p = 3 give the running sums' highest
+        # degree, 14, and the most degrees in one Horner loop
         rng = np.random.default_rng(p)
         people = sample_dgp(get_dgp("d1"), 300, rng)
         cases = [(Estimator.INDIVIDUAL, people), (Estimator.AVERAGE, pool_random(people, 3, rng)),
                  (Estimator.MARGINAL, pool_random(people, 2, rng)),
                  (Estimator.PRODUCT, pool_homogeneous(people, 2))]
         points = np.r_[np.linspace(-2.5, 2.5, 41), np.nan, np.inf, -np.inf]
-        configs = [FitConfig(p=p, h=h) for h in (0.05, 0.4)]
+        configs = [FitConfig(p=p, h=h, kernel=kernel) for h in (0.05, 0.4)
+                   for kernel in (KernelKind.EPANECHNIKOV, KernelKind.QUARTIC)]
         running = RunningSums(monkeypatch)
         want = [_local_fits(tag, data, cfg, points) for tag, data in cases for cfg in configs]
         monkeypatch.setattr(estimators, "_BLOCK", 8)
