@@ -60,20 +60,21 @@ window is at most five segment pieces, each evaluated at its own s by
 Horner's rule, one loop over the powers for every polynomial at once.
 A bandwidth block's running bandwidths go first, a running pass each, then
 one flat-pass call for all their fold rows, which are subtracted, and one
-bounded solve. A point goes back to the flat pass when its count of
-nonzero-weight rows is below p + 1 (none for an average window of fewer
-than c (p + 1 + d) members, d rows left out), or when a first-order bound on
-the rounding of its A and b leaves its rcond decision open or beta_0
-undetermined to 1e-12 of |beta_0| + max |y|. A piece's bound takes the
-absolute terms from its segment's first row to its last, so the terms of a
-row with a member far from its mates, up to |v|^2p, reach only the pieces
-that sum past it in its segment. A bandwidth takes the running sums when its
-flat pass would build more than 28 member rows per row and point plus
-43,000 (a pool row of largest size c counting c, the gate keeping one row of
-a pool of c consecutive members). That line lies near where CV passes timed
-on both paths cross (CHANGES.md): a running pass costs about 1.2-1.7 ms at
-n = 600 and 2.9-3.7 ms at n = 3000 whatever h, a flat pass about 20-40 ns
-per member row.
+bounded solve. A point goes back to the flat pass only when a first-order
+bound on the rounding of its A and b leaves its rcond decision open or
+beta_0 undetermined to 1e-12 of |beta_0| + max |y|. That one rule sends back
+every window of fewer than p + 1 rows or pools too: its exact A is singular,
+so the computed smallest singular value lies within the bound e on the error
+of A (Weyl), and the window can only fail for certain or stay open, never
+pass. A piece's bound takes the absolute terms from its segment's first row
+to its last, so the terms of a row with a member far from its mates, up to
+|v|^2p, reach only the pieces that sum past it in its segment. A bandwidth
+takes the running sums when its flat pass would build more than 28 member
+rows per row and point plus 43,000 (a pool row of largest size c counting c,
+the gate keeping one row of a pool of c consecutive members). That line lies
+near where CV passes timed on both paths cross (CHANGES.md): a running pass
+costs about 1.2-1.7 ms at n = 600 and 2.9-3.7 ms at n = 3000 whatever h, a
+flat pass about 20-40 ns per member row.
 
 Every solve happens in the bandwidth-scaled basis ((X - x)/h)^ell and the
 coefficients are rescaled afterwards, which keeps the normal matrix well
@@ -259,10 +260,9 @@ _SWEEPS = 30
 # member in it), from lead_rank[L] on with every member in it; the flat pass
 # keeps those with (gate[0][r] >= L) == gate[1], if gated. place maps a
 # record (unit rows) or pool to its rows, -1 padded. A window costs the flat
-# pass c member rows per group touched; repeats is c where a pool is a row
-# at each member (average rows), else 0.
+# pass c member rows per group touched.
 _Rows = namedtuple("_Rows", "x_sorted cov sizes resp product padded key key_rank lead_rank gate "
-                            "place group repeats running")
+                            "place group running")
 
 
 def _row_table(
@@ -300,7 +300,7 @@ def _row_table(
         key, lead, group = last[space], first[space], np.arange(space.size)
         # lead ascends where the running sums apply
         key_rank, lead_rank = np.searchsorted(key, edges), np.searchsorted(lead, edges)
-        gate, place, repeats = (lead, True), np.argsort(space)[:, None], 0
+        gate, place = (lead, True), np.argsort(space)[:, None]
     else:
         # a row at every sorted member, holding its pool: the running sums
         # weigh each member, the flat pass keeps each pool with a member in
@@ -313,7 +313,6 @@ def _row_table(
         # the gate keeps one row of a pool of c consecutive members, and a
         # window may hold fewer pools than rows
         group = unit // c if chunked and c > 1 else unit
-        repeats = c if c > 1 else 0
     members = table[space].T
     # product rows need pools of c consecutive sorted members (a window's
     # pools are then a contiguous range, every row of one scale) and a weight
@@ -323,8 +322,7 @@ def _row_table(
     return _Rows(x_sorted=x[order], cov=np.where(members >= 0, x[members], np.nan),
                  sizes=sizes[space].astype(float), resp=resp[space], product=product,
                  padded=bool((sizes < c).any()), key=key, key_rank=key_rank,
-                 lead_rank=lead_rank, gate=gate, place=place, group=group, repeats=repeats,
-                 running=running)
+                 lead_rank=lead_rank, gate=gate, place=place, group=group, running=running)
 
 
 def _pool_design(
@@ -468,8 +466,8 @@ def _running_sums(
     Row r weighs the kernel at its key covariate xs[r] over its pool size,
     or for product rows (equal pools, no padding) the product of its
     members' kernels. The points ascend, and so does L over the nonempty
-    windows [L, R) of rows; an empty window gets zero sums. Blocks, slabs
-    and pieces are those of the module docstring.
+    windows [L, R) of rows; a window with R <= L is empty and gets zero
+    sums. Blocks, slabs and pieces are those of the module docstring.
     """
     xs, product = rows.x_sorted[rows.key], rows.product
     const, _, m = _COMPACT_FAMILY[cfg.kernel]
@@ -768,29 +766,22 @@ def _batch_fits(
         # the systems of the running bandwidths, and of the flat ones
         run, todo = np.flatnonzero(np.repeat(sums, size)), np.flatnonzero(~np.repeat(sums, size))
         if run.size:
-            point, k, stop = run % size, run // size, hi[run]
-            start = np.minimum(rows.lead_rank[L[run]], stop)
+            point, k = run % size, run // size
             Ab, E = np.concatenate([_running_sums(rows, h, cfg, grid, a, b) for h, a, b in zip(
-                block[sums], start.reshape(-1, size), stop.reshape(-1, size))], axis=-1)
-            # rows of nonzero weight; where pools repeat at their members, a
-            # window of fewer than c (q + d) members may hold fewer than
-            # q + d pools and is refit
-            count = stop - start
-            count[R[run] - L[run] < rows.repeats * (q + folded)] = 0
+                block[sums], rows.lead_rank[L[run]].reshape(-1, size),
+                hi[run].reshape(-1, size))], axis=-1)
             if drop is not None:
                 # the fold's rows of every running system, one pair each, subtracted
                 out = left_out[point].ravel()
                 fold = _pair_sums(rows, cfg, np.repeat(grid[point], folded),
                                   np.repeat(block[k], folded), out, out + (out >= 0)
-                                  ).reshape(q, q + 1, run.size, folded)
-                count -= (fold[0, 0] > 0).sum(axis=-1)
-                fold = fold.sum(axis=-1)
+                                  ).reshape(q, q + 1, run.size, folded).sum(axis=-1)
                 Ab -= fold
                 E += 2.0 * eps * np.abs(fold)
             beta[run], failed[run], redo = _solve(Ab, scale[:, c0 + k], (E, ymax))
             del Ab, E
             # the points the running sums left open join the flat pass
-            todo = np.r_[todo, run[redo | (count < q)]]
+            todo = np.r_[todo, run[redo]]
         if todo.size:
             point, k = todo % size, todo // size
             Ab = _pair_sums(rows, cfg, grid[point], block[k], lo[todo], hi[todo], L[todo],

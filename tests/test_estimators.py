@@ -853,22 +853,30 @@ POLYNOMIAL = [KernelKind.EPANECHNIKOV, KernelKind.QUARTIC, KernelKind.TRIWEIGHT]
 
 
 class RunningSums:
-    """Forces the running-sum path and counts the points it settles itself."""
+    """Forces the running-sum path and counts the points it settles itself, the points it
+    leaves open and the systems of the flat pass (the _pair_sums calls with a gate bound)."""
 
     def __init__(self, monkeypatch):
-        self.settled, self.last = 0, None
-        solve = estimators._solve
+        self.settled, self.open, self.flat, self.last = 0, 0, 0, None
+        solve, pair_sums = estimators._solve, estimators._pair_sums
 
         def spy(Ab, scale, bounds=None):
             beta, failed, left_open = solve(Ab, scale, bounds)
             if bounds is not None:
                 self.settled += int((~left_open).sum())
+                self.open += int(left_open.sum())
                 self.last = ~left_open
             return beta, failed, left_open
+
+        def flat_spy(rows, cfg, grid, h, lo, hi, bound=None, drop=None):
+            if bound is not None:
+                self.flat += grid.size
+            return pair_sums(rows, cfg, grid, h, lo, hi, bound, drop)
 
         monkeypatch.setattr(estimators, "_RUNNING_MIN", 0)
         monkeypatch.setattr(estimators, "_RUNNING_BASE", -1)
         monkeypatch.setattr(estimators, "_solve", spy)
+        monkeypatch.setattr(estimators, "_pair_sums", flat_spy)
 
 
 class TestRunningSums:
@@ -920,14 +928,17 @@ class TestRunningSums:
                 settled += (ok & running.last).sum()
         note(f"points compared: {checked}, of them settled by running sums: {settled}")
 
+    @pytest.mark.parametrize("h", [0.8, 0.05])
     @pytest.mark.parametrize("kernel", POLYNOMIAL)
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
-    def test_agrees_with_the_flat_pass(self, monkeypatch, kernel, p):
+    def test_agrees_with_the_flat_pass(self, monkeypatch, kernel, p, h):
+        # the flat pass refits exactly the systems that the bounded solve
+        # leaves open, even in windows of fewer than p + 1 rows or pools
         rng = np.random.default_rng(p)
         people = sample_dgp(get_dgp("d1"), 600, rng)
         pooled = pool_random(people, 3, rng)
         chunked = pool_homogeneous(people, 2)
-        cfg = FitConfig(p=p, h=0.8, kernel=kernel)
+        cfg = FitConfig(p=p, h=h, kernel=kernel)
         x = pooled.x_flat
         cases = [(Estimator.INDIVIDUAL, people, np.arange(x.size)[:, None]),
                  (Estimator.AVERAGE, pooled, pooled.member_pool_index[:, None]),
@@ -943,13 +954,14 @@ class TestRunningSums:
         running = RunningSums(monkeypatch)
         for (tag, data, drop), (beta0, failed0) in zip(cases, want):
             points = data.x if data is people else data.x_flat
-            before = running.settled
+            before = (running.settled, running.open, running.flat)
             beta, failed = _local_fits(tag, data, cfg, points, drop=drop)
             assert np.array_equal(failed, failed0), tag
             scale = np.abs(beta0[:, 0]) + np.abs(people.y).max() * pooled.sizes.max()
             np.testing.assert_array_less(np.abs(beta[:, 0] - beta0[:, 0]), 1e-12 * scale)
-            if p < 2:
-                assert running.settled - before > 0.7 * points.size, tag
+            assert running.flat - before[2] == running.open - before[1], tag
+            if p < 2 and h > 0.5:
+                assert running.settled - before[0] > 0.7 * points.size, tag
 
     def test_unequal_product_pools_stay_on_the_flat_pass(self, monkeypatch):
         # sorted positions {0, 2}, {1, 3} and {4, 5, 6}: every pool spans

@@ -1,20 +1,34 @@
 """Record, or compare, the cross-validation decisions of a fixed set of fits.
 
-The set: seeds 0-5 x processes d1, d2, d3 x (n, c) in {(300, 2), (600, 3)},
-odd seeds pooled at random and even seeds homogeneously; p = 0, 1, 2 with
-the Epanechnikov kernel plus one p = 1 case in another kernel (Gaussian for
-seeds 0-1, tricube for 2-3, quartic for 4-5); each of the four estimators at
-its default criterion: 576 ``select_bandwidth`` traces. Per trace the JSON
-holds the criterion bytes, the chosen h, the trim bounds, the count and a
-hash of the ``FoldFailure`` tuples in order, and the curve values and failure
-mask at the chosen h on 81 points of [-2, 2].
+Three sets, chosen with ``--set``:
+
+* ``default``: seeds 0-5 x processes d1, d2, d3 x (n, c) in {(300, 2),
+  (600, 3)}, odd seeds pooled at random and even seeds homogeneously;
+  p = 0, 1, 2 with the Epanechnikov kernel plus one p = 1 case in another
+  kernel (Gaussian for seeds 0-1, tricube for 2-3, quartic for 4-5); each of
+  the four estimators at its default criterion: 576 ``select_bandwidth``
+  traces.
+* ``running``: the running-sum paths. Seeds 100-103 x processes d1, d2 x
+  (n, c) in {(300, 2), (301, 2), (601, 3)} (n = 1 mod c leaves a remainder
+  pool) x random and homogeneous pools x p = 0-3, with the Epanechnikov
+  kernel, plus quartic and triweight where seed + p + n is a multiple of 3;
+  each of the four estimators: 1248 traces at the default switch between
+  the flat pass and the running sums.
+* ``running-forced``: the same traces with every compact-kernel fit that
+  the row table allows forced onto the running sums. The keys are those of
+  ``running``, so one ``--compare`` checks the two against each other.
+
+Per trace the JSON holds the criterion bytes, the chosen h, the trim
+bounds, the count and a hash of the ``FoldFailure`` tuples in order, and
+the curve values and failure mask at the chosen h on 81 points of [-2, 2].
 
 Pytest does not collect this file. Run it against any tree by putting that
-tree's ``src`` on the path, then compare two records::
+tree's ``src`` on the path, then compare two records of one set::
 
     PYTHONPATH=src python tests/trace_set.py --out a.json
     PYTHONPATH=/other/tree/src python tests/trace_set.py --out b.json
     python tests/trace_set.py --compare a.json b.json
+    PYTHONPATH=src python tests/trace_set.py --set running-forced --out f.json
 
 ``--compare`` goes through every trace field by field. The decisions are
 the chosen h, the criterion's NaN pattern, the count and digest of the
@@ -31,10 +45,31 @@ import hashlib
 import json
 import sys
 
-SEEDS = range(6)
-DGPS = ("d1", "d2", "d3")
-SIZES = ((300, 2), (600, 3))
-EXTRA_KERNEL = ("gaussian", "gaussian", "tricube", "tricube", "quartic", "quartic")
+
+def _default_set():
+    """(seed, dgp, n, c, design, [(p, kernel)]) per sample of the default set, in order."""
+    extra = ("gaussian", "gaussian", "tricube", "tricube", "quartic", "quartic")
+    for seed in range(6):
+        design = "random" if seed % 2 else "homogeneous"
+        fits = [(p, "epanechnikov") for p in (0, 1, 2)] + [(1, extra[seed])]
+        for dgp in ("d1", "d2", "d3"):
+            for n, c in ((300, 2), (600, 3)):
+                yield seed, dgp, n, c, design, fits
+
+
+def _running_set():
+    """The samples of the running and running-forced sets, in order."""
+    for seed in range(100, 104):
+        for dgp in ("d1", "d2"):
+            for n, c in ((300, 2), (301, 2), (601, 3)):
+                fits = [(p, kernel) for p in range(4)
+                        for kernel in ("epanechnikov", "quartic", "triweight")
+                        if kernel == "epanechnikov" or (seed + p + n) % 3 == 0]
+                for design in ("random", "homogeneous"):
+                    yield seed, dgp, n, c, design, fits
+
+
+SETS = {"default": _default_set, "running": _running_set, "running-forced": _running_set}
 
 
 def _failures_digest(failures) -> str:
@@ -61,33 +96,31 @@ def _record(data, tag, cfg, grid) -> dict:
     }
 
 
-def record_all() -> dict:
-    """Every trace of the set, keyed by its case, in a fixed order."""
+def record_all(name: str = "default") -> dict:
+    """Every trace of the named set, keyed by its case, in a fixed order."""
     # imported here, so --compare runs without numpy or poolreg on the path
     import numpy as np
     from poolreg import (
-        Estimator, FitConfig, KernelKind, get_dgp, pool_homogeneous, pool_random, sample_dgp,
+        Estimator, FitConfig, KernelKind, estimators, get_dgp, pool_homogeneous, pool_random,
+        sample_dgp,
     )
 
+    if name == "running-forced":
+        # every bandwidth takes the running sums wherever its rows allow them
+        estimators._RUNNING_MIN, estimators._RUNNING_BASE = 0, -1
     grid = np.linspace(-2.0, 2.0, 81)
     out = {}
-    for seed in SEEDS:
-        design = "random" if seed % 2 else "homogeneous"
-        cases = ([(p, KernelKind.EPANECHNIKOV) for p in (0, 1, 2)]
-                 + [(1, KernelKind(EXTRA_KERNEL[seed]))])
-        for dgp in DGPS:
-            for n, c in SIZES:
-                rng = np.random.default_rng(seed)
-                people = sample_dgp(get_dgp(dgp), n, rng)
-                pooled = (pool_random(people, c, rng) if design == "random"
-                          else pool_homogeneous(people, c))
-                for p, kernel in cases:
-                    cfg = FitConfig(p=p, h=1.0, kernel=kernel)
-                    for tag in Estimator:
-                        data = people if tag is Estimator.INDIVIDUAL else pooled
-                        key = (f"seed={seed} {dgp} n={n} c={c} {design} p={p} "
-                               f"{kernel.value} {tag.value}")
-                        out[key] = _record(data, tag, cfg, grid)
+    for seed, dgp, n, c, design, fits in SETS[name]():
+        rng = np.random.default_rng(seed)
+        people = sample_dgp(get_dgp(dgp), n, rng)
+        pooled = (pool_random(people, c, rng) if design == "random"
+                  else pool_homogeneous(people, c))
+        for p, kernel in fits:
+            cfg = FitConfig(p=p, h=1.0, kernel=KernelKind(kernel))
+            for tag in Estimator:
+                data = people if tag is Estimator.INDIVIDUAL else pooled
+                key = f"seed={seed} {dgp} n={n} c={c} {design} p={p} {kernel} {tag.value}"
+                out[key] = _record(data, tag, cfg, grid)
     return out
 
 
@@ -156,12 +189,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--out", help="write the record of the trace set here")
+    parser.add_argument("--set", choices=SETS, default="default",
+                        help="which trace set --out records (default: %(default)s)")
     action.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two records")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    traces = record_all()
+    traces = record_all(args.set)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(traces, fh, indent=0)
     failures = sum(t["failures"][0] for t in traces.values() if "failures" in t)
