@@ -33,15 +33,14 @@ takes a batch of bandwidths and solves one local system per bandwidth and
 point, in blocks of whole bandwidths of at most 2048 systems (one bandwidth
 when it has more points); each system carries its own h, so its arithmetic
 is that of a call with that h alone. A block finds each system's window
-[L, R), the sorted members of nonzero weight, by one binary search, and the
-table's gate keeps the records in it, each pool with a member in it once for
-average weights, and the pools with every member in it for product weights.
-One flat pass per block, over the (system, row) pairs of its flat bandwidths
-and of the points that the running sums leave open (below), in chunks of
-8192, builds the rows and forms each entry of [A | b] as a segment sum per
-system, so its summation order is fixed by the data alone: time of order the
-pairs, memory of order the chunk. The Gaussian kernel has no window: it
-pairs every point with every row.
+[L, R), the sorted members within h (38.586 h for the Gaussian kernel, past
+which its weight is 0), by one binary search, and the table's gate keeps the
+records in it, each pool with a member in it once for average weights, and the
+pools with every member in it for product weights. One flat pass per block,
+over the (system, row) pairs of its flat bandwidths and of the points that the
+running sums leave open (below), in chunks of 8192, builds the rows and forms
+each entry of [A | b] as a segment sum per system, so its summation order is
+fixed by the data alone: time of order the pairs, memory of order the chunk.
 
 Wide windows of the kernels const (1 - t^2)^m (Epanechnikov, quartic,
 triweight) use running sums instead, where the table says they apply: unit
@@ -104,7 +103,7 @@ import numpy as np
 
 from .errors import NonFiniteValue, NonPositiveBandwidth, SingularLocalSystem, UserInputError
 from .data import IndividualDataset, PooledDataset
-from .kernels import _COMPACT_FAMILY, KernelKind, kernel_eval
+from .kernels import _COMPACT_FAMILY, _GAUSSIAN_REACH, KernelKind, kernel_eval
 
 __all__ = [
     "Estimator",
@@ -435,6 +434,7 @@ def _window_bounds(
     """Per point and bandwidth the sorted rows [L, R) of nonzero weight, |fl(fl(X - x)/h)| < 1.
 
     Rows within a few ulps of x -+ h get t computed as the row builders do.
+    A Gaussian window (h the bandwidth times its reach) may keep rows of weight 0 near its edge.
     """
     margin = 4.0 * np.finfo(float).eps * (np.abs(points) + h)
     bounds = []
@@ -747,14 +747,13 @@ def _batch_fits(
     # h ** ell one h at a time, as a one-h call rounds it (an array power may not)
     scale = np.array([h ** np.arange(q) for h in hs]).T
     ymax = np.abs(rows.resp).max()
+    reach = 1.0 if cfg.kernel.compact else _GAUSSIAN_REACH
     per = max(1, _SYSTEMS // max(size, 1))
     for c0 in range(0, hs.size, per):
         # a block of bandwidths: system k * size + i is sorted point i at
         # the block's k-th bandwidth
         block = hs[c0:c0 + per]
-        L, R = (_window_bounds(x_sorted, np.tile(grid, block.size), np.repeat(block, size))
-                if cfg.kernel.compact else (np.zeros(block.size * size, dtype=np.intp),
-                                            np.full(block.size * size, n)))
+        L, R = _window_bounds(x_sorted, np.tile(grid, block.size), np.repeat(block, size) * reach)
         empty = ~np.tile(finite, block.size)
         L[empty] = R[empty] = 0
         lo, hi = rows.key_rank[L], rows.key_rank[R]

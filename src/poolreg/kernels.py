@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
   * a kernel K is symmetric and integrates to 1 over the real line;
-  * every kernel except the Gaussian vanishes outside [-1, 1];
+  * compact kernels vanish outside [-1, 1]; in double precision the Gaussian is 0 past 38.586;
   * the bandwidth-scaled kernel is K_h(t) = K(t/h) / h;
   * the moment of order ell and power q is the integral of t^ell K(t)^q dt.
 
@@ -70,6 +70,7 @@ _COMPACT_FAMILY = {
 }
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_GAUSSIAN_REACH = math.sqrt(-2.0 * math.log(np.finfo(float).smallest_subnormal))
 
 
 def kernel_eval(kind: KernelKind, t):

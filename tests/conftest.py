@@ -37,15 +37,15 @@ def quad_moment():
     """Integral of t^ell K(t)^power by adaptive quadrature, absolute error <= 1e-12."""
     from scipy import integrate
 
-    from poolreg.kernels import kernel_eval
+    from poolreg.kernels import _GAUSSIAN_REACH, kernel_eval
 
     def moment(kind, ell, power):
         def integrand(t):
             return t**ell * kernel_eval(kind, t) ** power
 
-        # split at 0 so the adaptive rule sees two smooth halves; beyond
-        # |t| = 40 the Gaussian kernel underflows to 0
-        half = 1.0 if kind.compact else 40.0
+        # split at 0 so the adaptive rule sees two smooth halves; beyond its
+        # reach the Gaussian kernel underflows to 0
+        half = 1.0 if kind.compact else _GAUSSIAN_REACH
         left = integrate.quad(integrand, -half, 0.0, epsabs=1e-13, epsrel=0.0, limit=200)
         right = integrate.quad(integrand, 0.0, half, epsabs=1e-13, epsrel=0.0, limit=200)
         assert left[1] + right[1] <= 1e-12, (kind, ell, power)

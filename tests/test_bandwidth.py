@@ -666,6 +666,29 @@ class TestOnePassOfEachKind:
             assert min(sizes) >= 1, kind
             assert len(sizes) <= 2 * blocks, kind
 
+    @pytest.mark.parametrize("study", ["d2-600"], indirect=True)
+    @pytest.mark.parametrize("tag", list(Estimator))
+    def test_gaussian_windows_end_at_the_reach(self, study, monkeypatch, tag):
+        # a flat pass sums only the rows within 38.6 h of each point, so the
+        # narrowest candidates sum far fewer pairs than points x rows
+        people, pooled = study
+        data = people if tag is Estimator.INDIVIDUAL else pooled
+        pairs, pair_sums = [], estimators._pair_sums
+
+        def spy(rows, cfg, grid, h, lo, hi, bound=None, drop=None):
+            if bound is not None:
+                pairs.append((h, hi - lo, rows.resp.size))
+            return pair_sums(rows, cfg, grid, h, lo, hi, bound, drop)
+
+        monkeypatch.setattr(estimators, "_pair_sums", spy)
+        trace = select_bandwidth(data, tag, FitConfig(p=1, h=1.0, kernel=KernelKind.GAUSSIAN))
+        rows = pairs[0][2]
+        for h in trace.h_grid[:3]:
+            points = sum(int((hs == h).sum()) for hs, _, _ in pairs)
+            summed = sum(int(width[hs == h].sum()) for hs, width, _ in pairs)
+            assert points > 0, h
+            assert summed < 0.5 * points * rows, h
+
 
 class TestMemory:
     def test_cv_batch_memory_stays_bounded(self):
@@ -694,7 +717,8 @@ class TestMemory:
         y = np.sin(2 * x) + rng.normal(scale=0.3, size=x.size)
         pooled = pool_random(IndividualDataset(x=x, y=y), 3, rng)
         cfg = FitConfig(p=1, h=1.0)
-        # the Gaussian kernel's window is the whole sample: 9 million pairs
+        # the Gaussian kernel's window at h = 0.1 still covers the sample,
+        # as 38.6 h > 2 is the covariate range: 9 million pairs
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, size=3000)
         smaller = pool_random(IndividualDataset(x=x, y=np.sin(2 * x)), 3, rng)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.special import beta as beta_fn
 
 from poolreg.errors import UnsupportedKernel
-from poolreg.kernels import KernelKind, compute_moments, kernel_eval
+from poolreg.kernels import _GAUSSIAN_REACH, KernelKind, compute_moments, kernel_eval
 from poolreg.theory import _kernel_moments
 
 ALL_KINDS = list(KernelKind)
@@ -44,6 +44,16 @@ class TestEvaluation:
             math.exp(-2.0) / math.sqrt(2 * math.pi),
             rtol=1e-15,
         )
+
+    def test_gaussian_vanishes_past_its_reach(self):
+        # the engine's Gaussian windows end at the reach, so no row past it
+        # may carry weight; the last nonzero weight lies at |t| = 38.5755
+        t = np.linspace(_GAUSSIAN_REACH, _GAUSSIAN_REACH + 5.0, 1_000_001)
+        assert _GAUSSIAN_REACH < 38.59
+        assert np.all(kernel_eval(KernelKind.GAUSSIAN, t) == 0.0)
+        assert np.all(kernel_eval(KernelKind.GAUSSIAN, -t) == 0.0)
+        assert kernel_eval(KernelKind.GAUSSIAN, 38.57) > 0.0
+        assert kernel_eval(KernelKind.GAUSSIAN, -38.57) > 0.0
 
     def test_array_input_preserves_shape(self):
         t = np.linspace(-2, 2, 37).reshape(37, 1)

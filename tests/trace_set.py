@@ -1,6 +1,6 @@
 """Record, or compare, the cross-validation decisions of a fixed set of fits.
 
-Three sets, chosen with ``--set``:
+Four sets, chosen with ``--set``:
 
 * ``default``: seeds 0-5 x processes d1, d2, d3 x (n, c) in {(300, 2),
   (600, 3)}, odd seeds pooled at random and even seeds homogeneously;
@@ -17,6 +17,10 @@ Three sets, chosen with ``--set``:
 * ``running-forced``: the same traces with every compact-kernel fit that
   the row table allows forced onto the running sums. The keys are those of
   ``running``, so one ``--compare`` checks the two against each other.
+* ``gaussian``: the Gaussian kernel's windows. Seeds 200-201 x processes
+  d1, d2, d3 x (n, c) in {(300, 2), (601, 3)} (n = 601 leaves a remainder
+  pool) x random and homogeneous pools x p = 0, 1, 2 with the Gaussian
+  kernel; each of the four estimators: 288 traces.
 
 Per trace the JSON holds the criterion bytes, the chosen h, the trim
 bounds, the count and a hash of the ``FoldFailure`` tuples in order, and
@@ -69,7 +73,17 @@ def _running_set():
                     yield seed, dgp, n, c, design, fits
 
 
-SETS = {"default": _default_set, "running": _running_set, "running-forced": _running_set}
+def _gaussian_set():
+    """The samples of the gaussian set, in order."""
+    for seed in range(200, 202):
+        for dgp in ("d1", "d2", "d3"):
+            for n, c in ((300, 2), (601, 3)):
+                for design in ("random", "homogeneous"):
+                    yield seed, dgp, n, c, design, [(p, "gaussian") for p in range(3)]
+
+
+SETS = {"default": _default_set, "running": _running_set, "running-forced": _running_set,
+        "gaussian": _gaussian_set}
 
 
 def _failures_digest(failures) -> str:
